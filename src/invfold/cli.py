@@ -2,8 +2,10 @@
 
 Subcommands: featurize, train, infer, eval, theory. Every run is
 deterministic under --seed (fallback order: flag, config file, the
-RIGA_SEED environment variable, 0). Exit codes: 0 success, 1 usage or
-missing input, 2 parse failure, 3 numeric/dimension failure.
+RIGA_SEED environment variable, 0). Exit codes: 0 success, 1 usage,
+missing input or invalid config, 2 parse failure, 3 numeric/dimension
+failure. A corrupt binary container exits 2 (backbone, graph, attention
+dump) or 3 (checkpoint, embedding file); docs/formats.md lists which.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import (
     InvalidParameter,
     InvfoldError,
     ParseError,
+    ShapeError,
 )
 from .geometry import build_knn_graph, read_graph, write_graph
 from .nn import load_checkpoint, restore_parameters, save_checkpoint
@@ -121,7 +124,12 @@ def cmd_featurize(args) -> int:
     backbone = parse_pdb(text, args.chain)
     ss = None
     if args.ss:
-        ss = json.loads(_read_text(args.ss))
+        try:
+            ss = json.loads(_read_text(args.ss))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"--ss {args.ss}: not valid JSON ({exc})") from exc
+        if not isinstance(ss, list) or not all(type(c) is int for c in ss):
+            raise ParseError(f"--ss {args.ss}: expected a JSON list of integers")
     graph = build_knn_graph(backbone, cfg.features, ss=ss)
     write_graph(graph, args.out)
     print(f"featurized {graph.n} residues (k={graph.k}, "
@@ -166,7 +174,12 @@ def _load_graph_for_infer(args, cfg: RunConfig):
     if args.features:
         if args.pdb:
             raise _UsageError("give either --features or --pdb, not both")
-        return read_graph(args.features)
+        graph = read_graph(args.features)
+        dims = (graph.node_feats.shape[1], graph.edge_feats.shape[2])
+        if dims != (cfg.features.node_dim, cfg.features.edge_dim):
+            raise ShapeError(f"{args.features}: node/edge feature dims {dims} do not match the "
+                             f"config's {(cfg.features.node_dim, cfg.features.edge_dim)}")
+        return graph
     if not args.pdb:
         raise _UsageError("one of --features or --pdb is required")
     backbone = parse_pdb(_read_text(args.pdb), args.chain)

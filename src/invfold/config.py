@@ -102,7 +102,11 @@ def config_from_dict(raw: dict) -> RunConfig:
             raise ConfigError(f"unknown key {key!r}")
     if raw.get("rng", GENERATOR_NAME) != GENERATOR_NAME:
         raise ConfigError(f"unsupported rng {raw.get('rng')!r}; this build uses {GENERATOR_NAME}")
-    kwargs = {"seed": int(raw.get("seed", 0)), "rng": GENERATOR_NAME}
+    try:
+        seed = int(raw.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"seed must be an integer, got {raw['seed']!r}") from exc
+    kwargs = {"seed": seed, "rng": GENERATOR_NAME}
     for section, cls in _SECTIONS.items():
         values = raw.get(section, {})
         if not isinstance(values, dict):

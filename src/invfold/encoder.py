@@ -20,15 +20,14 @@ adjacency are always distinct entries.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .containers import pack, unpack
 from .errors import InvalidParameter, IsolatedNode, ParseError
 from .nn import Linear, LayerNorm, MlpBlock
 
@@ -259,34 +258,20 @@ def write_attention_dump(path, alphas, neighbors: np.ndarray) -> None:
         "k": k,
         "keying": "block l: row i, column m = weight of neighbors[i, m] -> i",
     }
-    hb = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    blocks = [("<i4", neighbors), ("<f4", np.reshape(alphas, (len(alphas), n, k)))]
     with open(path, "wb") as fh:
-        fh.write(_ALPHA_MAGIC)
-        fh.write(struct.pack("<I", len(hb)))
-        fh.write(hb)
-        fh.write(neighbors.astype("<i4").tobytes())
-        for alpha in alphas:
-            fh.write(np.asarray(alpha).astype("<f4").tobytes())
+        fh.write(pack(_ALPHA_MAGIC, header, blocks))
 
 
 def read_attention_dump(path):
-    """Returns (list of (n, k) float arrays, neighbors)."""
+    """Returns (list of (n, k) float arrays, neighbors); ParseError on a
+    malformed dump."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != _ALPHA_MAGIC:
-        raise ParseError("not an attention dump (bad magic)")
-    (hlen,) = struct.unpack_from("<I", data, 4)
-    header = json.loads(data[8:8 + hlen].decode("utf-8"))
-    n, k, layers = header["n"], header["k"], header["layers"]
-    off = 8 + hlen
-    neighbors = np.frombuffer(data, dtype="<i4", count=n * k, offset=off).reshape(n, k)
-    off += neighbors.nbytes
-    alphas = []
-    for _ in range(layers):
-        block = np.frombuffer(data, dtype="<f4", count=n * k, offset=off)
-        alphas.append(block.astype(np.float64).reshape(n, k))
-        off += block.nbytes
-    return alphas, neighbors.astype(np.int32)
+    _, (neighbors, alphas) = unpack(data, _ALPHA_MAGIC, lambda h: [
+        ("<i4", (h["n"], h["k"])), ("<f4", (h["layers"], h["n"], h["k"]))],
+        ParseError, "attention dump")
+    return list(alphas.astype(np.float64)), neighbors.astype(np.int32)
 
 
 def encoder_stack(state: LayerState, params: StackParams, training=False, stream=None,

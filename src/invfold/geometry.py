@@ -21,12 +21,11 @@ Anything derived from an imputed (flagged) atom is zeroed.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .containers import checked, pack, unpack
 from .errors import DegenerateFrame, GraphTooSmall, InvalidParameter, ParseError
 from .structure_io import ProteinBackbone
 
@@ -312,11 +311,8 @@ def build_knn_graph(backbone: ProteinBackbone, cfg: FeatureConfig, ss=None) -> R
     # Stable argsort: equidistant candidates resolve to the lower index.
     neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k_eff].astype(np.int32)
 
-    atom_valid = np.ones((n, 4), dtype=bool)
-    for i, res in enumerate(backbone.residues):
-        for a, name in enumerate(("N", "CA", "C", "O")):
-            if name in res.imputed:
-                atom_valid[i, a] = False
+    atom_valid = np.array([[a not in r.imputed for a in ("N", "CA", "C", "O")]
+                           for r in backbone.residues])
 
     node_blocks = []
     node_layout = []
@@ -433,43 +429,26 @@ def serialize_graph(graph: ResidueGraph) -> bytes:
         "seq_index": [int(s) for s in graph.seq_index],
         "chain_id": graph.chain_id,
     }
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return b"".join([
-        _GRAPH_MAGIC,
-        struct.pack("<I", len(header_bytes)),
-        header_bytes,
-        graph.neighbors.astype("<i4").tobytes(),
-        graph.node_feats.astype("<f4").tobytes(),
-        graph.edge_feats.astype("<f4").tobytes(),
-    ])
+    return pack(_GRAPH_MAGIC, header, [("<i4", graph.neighbors), ("<f4", graph.node_feats),
+                                       ("<f4", graph.edge_feats)])
 
 
 def deserialize_graph(data: bytes) -> ResidueGraph:
-    if data[:4] != _GRAPH_MAGIC:
-        raise ParseError("not a graph container (bad magic)")
-    (hlen,) = struct.unpack_from("<I", data, 4)
-    header = json.loads(data[8:8 + hlen].decode("utf-8"))
-    n, k = header["n"], header["k"]
-    node_dim, edge_dim = header["node_dim"], header["edge_dim"]
-    off = 8 + hlen
-    nbr = np.frombuffer(data, dtype="<i4", count=n * k, offset=off).reshape(n, k)
-    off += nbr.nbytes
-    node = np.frombuffer(data, dtype="<f4", count=n * node_dim, offset=off)
-    off += node.nbytes
-    edge = np.frombuffer(data, dtype="<f4", count=n * k * edge_dim, offset=off)
-    return ResidueGraph(
-        n=n,
-        k=k,
-        neighbors=nbr.astype(np.int32),
-        node_feats=node.astype(np.float64).reshape(n, node_dim),
-        edge_feats=edge.astype(np.float64).reshape(n, k, edge_dim),
-        node_layout=header["node_layout"],
-        edge_layout=header["edge_layout"],
-        labels=header["labels"],
-        seq_index=np.array(header["seq_index"], dtype=np.int32),
-        chain_id=header["chain_id"],
-        backbone=None,
-    )
+    """Inverse of serialize_graph (features come back as float32 values in
+    float64 arrays); ParseError on a malformed container."""
+    header, (nbr, node, edge) = unpack(data, _GRAPH_MAGIC, lambda h: [
+        ("<i4", (h["n"], h["k"])), ("<f4", (h["n"], h["node_dim"])),
+        ("<f4", (h["n"], h["k"], h["edge_dim"]))], ParseError, "graph container")
+    n = header["n"]
+    if nbr.size and not 0 <= nbr.min() <= nbr.max() < n:
+        raise ParseError(f"graph container: neighbor index outside [0, {n})")
+    with checked(ParseError, "graph container header"):
+        return ResidueGraph(
+            n=n, k=header["k"], neighbors=nbr.astype(np.int32),
+            node_feats=node.astype(np.float64), edge_feats=edge.astype(np.float64),
+            node_layout=header["node_layout"], edge_layout=header["edge_layout"],
+            labels=header["labels"], seq_index=np.array(header["seq_index"], dtype=np.int32),
+            chain_id=header["chain_id"])
 
 
 def write_graph(graph: ResidueGraph, path) -> None:

@@ -8,13 +8,11 @@ little-endian float blocks in manifest order (docs/formats.md).
 
 from __future__ import annotations
 
-import json
-import struct
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .containers import checked, pack, unpack
 from .errors import CheckpointMismatch, InvalidParameter
 from .rng import RandomStream
 
@@ -111,32 +109,21 @@ def save_checkpoint(params: dict, path, meta=None) -> None:
         "params": [{"name": n, "shape": list(params[n].data.shape)} for n in names],
         "meta": meta or {},
     }
-    header = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for n in names:
-            fh.write(np.ascontiguousarray(params[n].data, dtype="<f8").tobytes())
+        fh.write(pack(_CKPT_MAGIC, manifest, [("<f8", params[n].data) for n in names]))
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns ({name: ndarray}, meta)."""
+    """Read a checkpoint; returns ({name: ndarray}, meta). CheckpointMismatch
+    on a malformed file."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != _CKPT_MAGIC:
-        raise CheckpointMismatch("not a checkpoint file (bad magic)")
-    (hlen,) = struct.unpack_from("<I", data, 4)
-    manifest = json.loads(data[8:8 + hlen].decode("utf-8"))
-    offset = 8 + hlen
-    arrays = {}
-    for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        block = np.frombuffer(data, dtype=manifest["dtype"], count=count, offset=offset)
-        arrays[entry["name"]] = block.reshape(shape).astype(np.float64)
-        offset += block.nbytes
-    return arrays, manifest.get("meta", {})
+    manifest, blocks = unpack(data, _CKPT_MAGIC,
+                              lambda h: [(h["dtype"], e["shape"]) for e in h["params"]],
+                              CheckpointMismatch, "checkpoint file")
+    with checked(CheckpointMismatch, "checkpoint manifest"):
+        arrays = {e["name"]: b.astype(np.float64) for e, b in zip(manifest["params"], blocks)}
+        return arrays, manifest.get("meta", {})
 
 
 def restore_parameters(params: dict, arrays: dict) -> None:

@@ -3,10 +3,11 @@
 The model consumes three per-residue streams: trainable geometric
 embeddings, a frozen structure prior, and a frozen sequence prior.
 Priors come from pluggable providers; the built-in stub providers
-derive deterministic pseudo-embeddings from a seeded hash of
-(token, position), which keeps the whole pipeline runnable without any
-pretrained model, and the file providers read embeddings exported
-out-of-band (docs/formats.md).
+derive deterministic pseudo-embeddings from seeded hash rows (the
+sequence stub sums a token row and a position row, so a residue type
+looks alike wherever it occurs), which keeps the whole pipeline
+runnable without any pretrained model, and the file providers read
+embeddings exported out-of-band (docs/formats.md).
 
 Inference recycles: stage 1 runs with an all-mask sequence prior; each
 later stage re-embeds the previous stage's predicted sequence and runs
@@ -21,13 +22,12 @@ from dataclasses import dataclass, field
 
 import functools
 import hashlib
-import json
-import struct
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .containers import pack, unpack
 from .encoder import LayerState, StackParams, encoder_stack
 from .errors import InvalidParameter, ShapeError
 from .geometry import ResidueGraph
@@ -119,15 +119,19 @@ class StubStructureProvider(StructurePriorProvider):
 
 
 class StubSequenceProvider(SequencePriorProvider):
-    """(token, position)-keyed pseudo-embeddings; accepts mask tokens."""
+    """(token row + position row) / sqrt(2): a residue type looks alike
+    wherever it occurs, as in a real sequence model; accepts mask tokens."""
 
     def __init__(self, dim=320, seed=0):
         self.dim = dim
         self.seed = seed
 
     def embed_sequence(self, tokens) -> np.ndarray:
-        return _hash_rows("stub-sequence", self.seed, self.dim,
-                          [f"{i}/{tok}" for i, tok in enumerate(tokens)])
+        token_rows = _hash_rows("stub-sequence", self.seed, self.dim,
+                                [f"token/{tok}" for tok in tokens])
+        pos_rows = _hash_rows("stub-sequence", self.seed, self.dim,
+                              [f"pos/{i}" for i in range(len(tokens))])
+        return (token_rows + pos_rows) / np.sqrt(2.0)
 
 
 class OracleSequenceProvider(SequencePriorProvider):
@@ -164,24 +168,17 @@ def write_embeddings(path, rows: np.ndarray, tag: str, source_sequence: str = ""
         "provider": tag,
         "source_sequence_sha256": hashlib.sha256(source_sequence.encode()).hexdigest(),
     }
-    hb = json.dumps(header, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_EMB_MAGIC)
-        fh.write(struct.pack("<I", len(hb)))
-        fh.write(hb)
-        fh.write(rows.astype("<f4").tobytes())
+        fh.write(pack(_EMB_MAGIC, header, [("<f4", rows)]))
 
 
 def read_embeddings(path):
+    """Returns ((n, dim) float64 rows, header); ShapeError on a malformed file."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != _EMB_MAGIC:
-        raise ShapeError("not an embedding file (bad magic)")
-    (hlen,) = struct.unpack_from("<I", data, 4)
-    header = json.loads(data[8:8 + hlen].decode("utf-8"))
-    n, dim = header["n"], header["dim"]
-    rows = np.frombuffer(data, dtype="<f4", count=n * dim, offset=8 + hlen)
-    return rows.astype(np.float64).reshape(n, dim), header
+    header, (rows,) = unpack(data, _EMB_MAGIC, lambda h: [("<f4", (h["n"], h["dim"]))],
+                             ShapeError, "embedding file")
+    return rows.astype(np.float64), header
 
 
 class FileStructureProvider(StructurePriorProvider):

@@ -14,12 +14,11 @@ from a flagged atom.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .containers import checked, pack, unpack
 from .errors import (
     ChainNotFound,
     EmptyBackbone,
@@ -46,6 +45,7 @@ THREE_TO_ONE = {
 BACKBONE_ATOMS = ("N", "CA", "C", "O")
 
 _CONTAINER_MAGIC = b"IFB1"
+_FLOAT32_MAX = float(np.finfo(np.float32).max)  # `abs(nan) <= _FLOAT32_MAX` is false too
 
 
 @dataclass
@@ -59,9 +59,6 @@ class Residue:
     o: np.ndarray
     seq_index: int
     imputed: frozenset = field(default_factory=frozenset)
-
-    def atom(self, name: str) -> np.ndarray:
-        return getattr(self, name.lower())
 
     def coords(self) -> np.ndarray:
         """(4, 3) array in N, CA, C, O order."""
@@ -117,7 +114,8 @@ def parse_pdb(text: str, chain: str) -> ProteinBackbone:
     Residues lacking a CA record are dropped; non-standard residue
     names map to the unknown code.
 
-    Raises ParseError for unusable text, ChainNotFound when the chain
+    Raises ParseError for unusable text (including a coordinate that is
+    not finite once stored as float32), ChainNotFound when the chain
     has no ATOM records, EmptyBackbone when filtering removes all
     residues.
     """
@@ -157,6 +155,8 @@ def parse_pdb(text: str, chain: str) -> ProteinBackbone:
             z = float(line[46:54])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: malformed ATOM record ({exc})") from exc
+        if not (abs(x) <= _FLOAT32_MAX and abs(y) <= _FLOAT32_MAX and abs(z) <= _FLOAT32_MAX):
+            raise ParseError(f"line {lineno}: coordinate not finite in float32 ({x}, {y}, {z})")
         if resseq not in atoms:
             atoms[resseq] = {}
             order.append(resseq)
@@ -234,40 +234,24 @@ def serialize_backbone(backbone: ProteinBackbone) -> bytes:
             for r in backbone.residues
         ],
     }
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    block = backbone.coords().astype("<f4").tobytes()
     count = len(backbone) * 4 * 3
-    return b"".join([
-        _CONTAINER_MAGIC,
-        struct.pack("<I", len(header_bytes)),
-        header_bytes,
-        struct.pack("<Q", count),
-        block,
-    ])
+    return pack(_CONTAINER_MAGIC, header, [("<u8", [count]), ("<f4", backbone.coords())])
 
 
 def deserialize_backbone(data: bytes) -> ProteinBackbone:
-    """Inverse of serialize_backbone."""
-    if data[:4] != _CONTAINER_MAGIC:
-        raise ParseError("not a backbone container (bad magic)")
-    (hlen,) = struct.unpack_from("<I", data, 4)
-    header = json.loads(data[8:8 + hlen].decode("utf-8"))
-    (count,) = struct.unpack_from("<Q", data, 8 + hlen)
-    offset = 16 + hlen
-    coords = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-    coords = coords.astype(np.float64).reshape(-1, 4, 3)
-    residues = []
-    for i, meta in enumerate(header["residues"]):
-        residues.append(Residue(
-            aa=meta["aa"],
-            n=coords[i, 0].copy(),
-            ca=coords[i, 1].copy(),
-            c=coords[i, 2].copy(),
-            o=coords[i, 3].copy(),
-            seq_index=meta["seq_index"],
-            imputed=frozenset(meta["imputed"]),
-        ))
-    return ProteinBackbone(residues, header["chain_id"])
+    """Inverse of serialize_backbone; ParseError on a malformed container."""
+    header, (count, coords) = unpack(
+        data, _CONTAINER_MAGIC, lambda h: [("<u8", (1,)), ("<f4", (len(h["residues"]), 4, 3))],
+        ParseError, "backbone container")
+    if count[0] != coords.size:
+        raise ParseError(f"backbone container: count {count[0]} != {coords.size} coordinates")
+    with checked(ParseError, "backbone container header"):
+        residues = [
+            Residue(meta["aa"], *coords[i].astype(np.float64), seq_index=meta["seq_index"],
+                    imputed=frozenset(meta["imputed"]))
+            for i, meta in enumerate(header["residues"])
+        ]
+        return ProteinBackbone(residues, header["chain_id"])
 
 
 def write_backbone(backbone: ProteinBackbone, path) -> None:

@@ -332,20 +332,21 @@ def test_criterion_9_recycling_causality_and_monotonicity(trained, default_featu
 
     # constructed boundary-monotone provider: true-sequence embeddings
     # from stage 2 onward
-    first_losses = []
-    last_losses = []
+    series = []
     for backbone in corpus:
         g = build_knn_graph(backbone, default_features)
         oracle = OracleSequenceProvider(list(backbone.sequence),
                                         dim=model.cfg.seq_dim, seed=0)
         r = recycle_infer(model, g, struct_p, oracle, 3)
-        losses = [staged_loss([d], backbone.sequence) for d in r.distributions]
-        first_losses.append(losses[0])
-        last_losses.append(losses[-1])
+        series.append([staged_loss([d], backbone.sequence) for d in r.distributions])
+    first_losses = [losses[0] for losses in series]
+    last_losses = [losses[-1] for losses in series]
     monotone = float(np.mean(last_losses)) <= float(np.mean(first_losses))
+    per_protein = " ".join("/".join(f"{v:.4g}" for v in losses) for losses in series)
     report(9, "recycling causality + monotone improvement with oracle prior",
            causal and monotone,
-           f"causal={causal} L1={np.mean(first_losses):.4f} LT={np.mean(last_losses):.4f}")
+           f"causal={causal} L1={np.mean(first_losses):.4f} LT={np.mean(last_losses):.4f} "
+           f"L_1..L_T per protein: {per_protein}")
 
 
 def test_criterion_10_loss_arithmetic():

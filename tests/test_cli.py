@@ -338,3 +338,84 @@ class TestTheoryCli:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert len(report["bridge_on"]) == 2
+
+
+def _corrupt(data: bytes, how: str) -> bytes:
+    """Cut a container inside its header or body, or pad it."""
+    hlen = int.from_bytes(data[4:8], "little")
+    if how == "cut-header":
+        return data[:8 + hlen // 2]
+    if how == "cut-body":
+        return data[:-3]
+    return data + b"\x00junk"
+
+
+class TestMalformedInput:
+    """Every malformed input exits with its documented code and a one-line
+    message; nothing escapes `main`."""
+
+    @staticmethod
+    def _infer_args(tmp_path, tiny_config, pdb_file, suffix):
+        from invfold.config import load_config
+        from invfold.nn import save_checkpoint
+        from invfold.recycling import InverseFoldModel, write_embeddings
+        path = tmp_path / f"input{suffix}"
+        if suffix == ".ifg":
+            assert main(["featurize", pdb_file, "--chain", "A", "--out", str(path),
+                         "--config", tiny_config]) == 0
+            return path, ["infer", "--features", str(path)]
+        cfg = load_config(tiny_config)
+        if suffix == ".ifc":
+            model = InverseFoldModel(cfg.model_config(), seed=cfg.seed)
+            save_checkpoint(model.parameters(), path)
+            return path, ["infer", "--pdb", pdb_file, "--checkpoint", str(path)]
+        rows = np.ones((14, cfg.priors.struct_dim))
+        write_embeddings(path, rows, "test")
+        return path, ["infer", "--pdb", pdb_file, "--struct-prior", str(path)]
+
+    @pytest.mark.parametrize("how", ["cut-header", "cut-body", "trailing-bytes"])
+    @pytest.mark.parametrize("suffix,code", [(".ifg", 2), (".ifc", 3), (".ife", 3)])
+    def test_corrupt_container(self, tmp_path, tiny_config, pdb_file, capsys,
+                               suffix, code, how):
+        path, args = self._infer_args(tmp_path, tiny_config, pdb_file, suffix)
+        args += ["--chain", "A", "--config", tiny_config]
+        assert main(args) == 0  # the intact file is accepted
+        path.write_bytes(_corrupt(path.read_bytes(), how))
+        capsys.readouterr()
+        assert main(args) == code
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    def test_features_from_another_config_exit_3(self, tmp_path, tiny_config, pdb_file, capsys):
+        graph = tmp_path / "g.ifg"
+        assert main(["featurize", pdb_file, "--chain", "A", "--out", str(graph),
+                     "--config", tiny_config]) == 0
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({**TINY_CONFIG, "features": {"k": 6, "rbf_count": 5}}))
+        assert main(["infer", "--features", str(graph), "--config", str(other)]) == 3
+        assert "feature dims" in capsys.readouterr().err
+
+    def test_nan_coordinate_exit_2(self, tmp_path, tiny_config, pdb_file, capsys):
+        lines = open(pdb_file).read().splitlines()
+        lines[5] = lines[5][:38] + f"{float('nan'):8.3f}" + lines[5][46:]
+        bad = tmp_path / "nan.pdb"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "g.ifg"
+        assert main(["featurize", str(bad), "--chain", "A", "--out", str(out),
+                     "--config", tiny_config]) == 2
+        assert "line 6" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_seed_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"seed": "abc"}))
+        assert main(["theory", "--suite", "return-mass", "--config", str(path)]) == 1
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[1, 2", "{\"a\": 1}", "[\"H\"]"])
+    def test_bad_ss_json_exit_2(self, tmp_path, tiny_config, pdb_file, capsys, text):
+        ss = tmp_path / "ss.json"
+        ss.write_text(text)
+        assert main(["featurize", pdb_file, "--chain", "A", "--out", str(tmp_path / "g.ifg"),
+                     "--ss", str(ss), "--config", tiny_config]) == 2
+        assert "--ss" in capsys.readouterr().err
