@@ -6,13 +6,31 @@ reverse topological order and accumulates gradients into leaf tensors
 created with requires_grad=True. 64-bit is the default dtype; training
 and all gradient checks run in 64-bit, inference may cast to 32-bit.
 
+Inference needs no tape: inside `with no_grad():` an operation records
+no parents, so every intermediate array is freed as soon as the caller
+drops it and memory stays linear in the number of edges. The switch is
+per thread (`threading.local`), so a `no_grad` block in one worker thread
+never turns recording off, or back on, in another; blocks nest and
+restore the enclosing state on exit, also when the body raises. Values
+are the same with or without a tape.
+
+Gradients of row gathers (`take_rows`, the sender block of
+`pair_linear`) are sorted-segment sums (`scatter_rows`): the gradient
+rows are grouped by the row they were gathered from and each group is
+summed. The sort plan depends only on the index array, so it is built
+once per distinct index, on the first backward pass that needs it, and
+reused by every later op and pass; inference never builds one.
+
 `check_gradient` is the independent oracle: central finite differences
 re-evaluating the user's closure, never touching the tape internals.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -103,8 +121,30 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_GRAD_STATE = threading.local()
+
+
+def grad_enabled() -> bool:
+    """Whether operations in the calling thread record a tape."""
+    return getattr(_GRAD_STATE, "enabled", True)
+
+
+@contextmanager
+def no_grad():
+    """Record no tape in the calling thread for the body of the block
+    (or of the decorated function)."""
+    outer = grad_enabled()
+    _GRAD_STATE.enabled = False
+    try:
+        yield
+    finally:
+        _GRAD_STATE.enabled = outer
+
+
 def _make(data, parents, op: str) -> Tensor:
     out = Tensor(_guard(data, op))
+    if not grad_enabled():
+        return out
     live = tuple((p, vjp) for p, vjp in parents if p.requires_grad)
     if live:
         out.requires_grad = True
@@ -212,63 +252,51 @@ def pair_linear(h, e, neighbors, w, b=None, order=("self", "edge", "nbr")) -> Te
     then broadcast/gathered, which avoids materializing the wide
     concatenation. `order` names the row blocks of w: "self" is the
     receiving node, "nbr" the sending node, "edge" the edge vector.
+    The receiver and sender projections form one (2, n, d_out) tape
+    node, so backward reduces the edge gradient onto them once (a slot
+    sum and a `scatter_rows`) and both h and w read the result.
     """
     h, w = as_tensor(h), as_tensor(w)
     e = as_tensor(e)
     n, d = h.shape
     _, k, d_e = e.shape
     sizes = {"self": d, "nbr": d, "edge": d_e}
-    offsets = {}
+    blocks = {}
     row = 0
     for seg in order:
-        offsets[seg] = (row, row + sizes[seg])
+        blocks[seg] = slice(row, row + sizes[seg])
         row += sizes[seg]
-    w_self = w.data[offsets["self"][0]:offsets["self"][1]]
-    w_nbr = w.data[offsets["nbr"][0]:offsets["nbr"][1]]
-    w_edge = w.data[offsets["edge"][0]:offsets["edge"][1]]
+    w_self, w_nbr, w_edge = (w.data[blocks[seg]] for seg in ("self", "nbr", "edge"))
     d_out = w.shape[1]
 
-    a_self = h.data @ w_self
-    a_nbr = h.data @ w_nbr
+    def vjp_nodes_w(g):
+        gw = np.zeros_like(w.data)
+        gw[blocks["self"]] = h.data.T @ g[0]
+        gw[blocks["nbr"]] = h.data.T @ g[1]
+        return gw
+
+    nodes = _make(np.stack([h.data @ w_self, h.data @ w_nbr]), [
+        (h, lambda g: g[0] @ w_self.T + g[1] @ w_nbr.T),
+        (w, vjp_nodes_w),
+    ], "pair_linear")
     e_flat = e.data.reshape(n * k, d_e)
     out = e_flat @ w_edge
     out = out.reshape(n, k, d_out)
-    out = out + a_self[:, None, :] + a_nbr[neighbors]
+    out = out + nodes.data[0][:, None, :] + nodes.data[1][neighbors]
+
+    def vjp_edge_w(g):
+        gw = np.zeros_like(w.data)
+        gw[blocks["edge"]] = e_flat.T @ g.reshape(-1, d_out)
+        return gw
+
+    parents = [
+        (e, lambda g: (g.reshape(-1, d_out) @ w_edge.T).reshape(n, k, d_e)),
+        (w, vjp_edge_w),
+        (nodes, lambda g: np.stack([g.sum(axis=1), scatter_rows(g, neighbors, n)])),
+    ]
     if b is not None:
         b = as_tensor(b)
         out = out + b.data
-
-    # sums of g over slots are shared by vjp_h and vjp_w; cache per pass
-    cache = {}
-
-    def reductions(g3):
-        key = id(g3)
-        if cache.get("key") != key:
-            flat_idx = neighbors.reshape(-1)
-            onehot = np.zeros((flat_idx.size, n))
-            onehot[np.arange(flat_idx.size), flat_idx] = 1.0
-            cache["key"] = key
-            cache["scatter"] = onehot.T @ g3.reshape(-1, d_out)
-            cache["sum"] = g3.sum(axis=1)
-        return cache["sum"], cache["scatter"]
-
-    def vjp_h(g):
-        gsum, gscat = reductions(g)
-        return gsum @ w_self.T + gscat @ w_nbr.T
-
-    def vjp_e(g):
-        return (g.reshape(-1, d_out) @ w_edge.T).reshape(n, k, d_e)
-
-    def vjp_w(g):
-        gsum, gscat = reductions(g)
-        gw = np.empty_like(w.data)
-        gw[offsets["self"][0]:offsets["self"][1]] = h.data.T @ gsum
-        gw[offsets["nbr"][0]:offsets["nbr"][1]] = h.data.T @ gscat
-        gw[offsets["edge"][0]:offsets["edge"][1]] = e_flat.T @ g.reshape(-1, d_out)
-        return gw
-
-    parents = [(h, vjp_h), (e, vjp_e), (w, vjp_w)]
-    if b is not None:
         parents.append((b, lambda g: g.reshape(-1, d_out).sum(axis=0)))
     return _make(out, parents, "pair_linear")
 
@@ -328,32 +356,54 @@ def concat(parts, axis=-1) -> Tensor:
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _segment_plan(index_bytes: bytes, dtype: str, n: int) -> tuple:
+    """Rows of g grouped by the target row that the index names them for.
+
+    Returns [(targets (s,), rows (s, c))] with one entry per segment
+    length c: row targets[i] sums g rows rows[i], in index order.
+    Keyed on the index bytes, so every op and every backward pass over
+    the same neighbour array shares one plan, and an index changed in
+    place gets a new one.
+    """
+    flat = np.frombuffer(index_bytes, dtype=dtype)
+    flat = np.where(flat < 0, flat + n, flat)  # numpy's negative indexing
+    order = np.argsort(flat, kind="stable")
+    ranked = flat[order]
+    first = np.ones(ranked.size, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(first)
+    lengths = np.diff(starts, append=ranked.size)
+    plan = []
+    for c in np.unique(lengths):
+        seg_starts = starts[lengths == c]
+        plan.append((ranked[seg_starts], order[seg_starts[:, None] + np.arange(c)]))
+    return tuple(plan)
+
+
+def scatter_rows(g, index, n: int) -> np.ndarray:
+    """Adjoint of `x[index]` for an x with n rows: row r of the result
+    is the sum of the rows of g that index names r.
+
+    g has shape index.shape + row shape; rows no index names are 0.
+    Segments of equal length are summed together, one gather and one
+    contiguous reduction each, so work and memory are linear in g.
+    """
+    index = np.asarray(index)
+    g_rows = g.reshape(index.size, *g.shape[index.ndim:])
+    out = np.zeros((n,) + g_rows.shape[1:], dtype=g.dtype)
+    plan = _segment_plan(np.ascontiguousarray(index).tobytes(), index.dtype.str, n)
+    for targets, rows in plan:
+        out[targets] = g_rows[rows].sum(axis=1)
+    return out
+
+
 def take_rows(a, index) -> Tensor:
     """Gather rows along axis 0; backward scatter-adds."""
     a = as_tensor(a)
     index = np.asarray(index)
-
-    def vjp(g):
-        if a.data.ndim == 2:
-            # one-hot scatter as a GEMM; much faster than np.add.at
-            flat_idx = index.reshape(-1)
-            g_flat = g.reshape(-1, a.data.shape[1])
-            onehot = np.zeros((flat_idx.size, a.data.shape[0]))
-            onehot[np.arange(flat_idx.size), flat_idx] = 1.0
-            return onehot.T @ g_flat
-        out = np.zeros_like(a.data)
-        np.add.at(out, index.reshape(-1), g.reshape(-1, *a.data.shape[1:]))
-        return out
-
-    return _make(a.data[index], [(a, vjp)], "take_rows")
-
-
-def expand_rows(a, k: int) -> Tensor:
-    """(n, d) -> (n, k, d) by repetition; backward sums the new axis."""
-    a = as_tensor(a)
-    n, d = a.shape
-    data = np.broadcast_to(a.data[:, None, :], (n, k, d)).copy()
-    return _make(data, [(a, lambda g: g.sum(axis=1))], "expand_rows")
+    n = a.shape[0]
+    return _make(a.data[index], [(a, lambda g: scatter_rows(g, index, n))], "take_rows")
 
 
 def tile_row(a, n: int) -> Tensor:

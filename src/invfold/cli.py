@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from . import theory as theory_mod
+from .autodiff import no_grad
 from .config import RunConfig, load_config
 from .errors import (
     ChainNotFound,
@@ -130,6 +131,11 @@ def cmd_featurize(args) -> int:
             raise ParseError(f"--ss {args.ss}: not valid JSON ({exc})") from exc
         if not isinstance(ss, list) or not all(type(c) is int for c in ss):
             raise ParseError(f"--ss {args.ss}: expected a JSON list of integers")
+        if len(ss) != len(backbone):
+            raise ParseError(f"--ss {args.ss}: {len(ss)} classes for {len(backbone)} residues")
+        if not all(0 <= c < cfg.features.ss_classes for c in ss):
+            raise ParseError(f"--ss {args.ss}: classes must lie in "
+                             f"[0, {cfg.features.ss_classes})")
     graph = build_knn_graph(backbone, cfg.features, ss=ss)
     write_graph(graph, args.out)
     print(f"featurized {graph.n} residues (k={graph.k}, "
@@ -352,8 +358,9 @@ def cmd_theory(args) -> int:
                                                              rep["symmetric"]))]
             if args.alpha_dump:
                 from .encoder import write_attention_dump
-                _, alphas, _ = model.run_stages(graphs[0], struct_p, seq_p, 1,
-                                                training=False)
+                with no_grad():
+                    _, alphas, _ = model.run_stages(graphs[0], struct_p, seq_p, 1,
+                                                    training=False)
                 write_attention_dump(args.alpha_dump, alphas[0], graphs[0].neighbors)
                 print(f"attention dump -> {args.alpha_dump}")
         elif args.suite == "oversmoothing":

@@ -356,11 +356,15 @@ class RecycleResult:
     stage_alphas: list = field(default_factory=list)
 
 
+@ad.no_grad()
 def recycle_infer(model: InverseFoldModel, graph: ResidueGraph,
                   structure_provider: StructurePriorProvider,
                   sequence_provider: SequencePriorProvider,
                   recycles: int) -> RecycleResult:
-    """Deterministic cascaded inference; returns every stage's distribution."""
+    """Deterministic cascaded inference; returns every stage's distribution.
+
+    Runs under `no_grad`, so no stage keeps a tape and memory stays
+    linear in the number of edges."""
     prob_tensors, alphas, stage_tokens = model.run_stages(
         graph, structure_provider, sequence_provider, recycles, training=False)
     dists = [SequenceDistribution(p.data.copy(), stage=t + 1) for t, p in enumerate(prob_tensors)]

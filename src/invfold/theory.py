@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import InfiniteResistance, InvalidAttention, InvalidParameter
 from .recycling import StubSequenceProvider, StubStructureProvider
 from .rng import RandomStream
@@ -287,6 +288,7 @@ def softmax_sensitivity_check(fixtures, eps: float = 1e-4) -> dict:
     }
 
 
+@ad.no_grad()
 def contraction_profile(model, graphs, structure_provider=None, sequence_provider=None) -> dict:
     """Per-layer mean return mass for directional and shared-edge runs.
 
@@ -333,6 +335,7 @@ def recycling_monotonicity_report(staged_losses) -> dict:
     }
 
 
+@ad.no_grad()
 def oversmoothing_profile(model, graph, structure_provider=None, sequence_provider=None) -> dict:
     """Mean pairwise node-state distance per layer, sqrt(d)-normalized,
     with the global-context block enabled and disabled."""

@@ -215,6 +215,7 @@ class TrainResult:
     stage_losses: list = field(default_factory=list)
 
 
+@ad.no_grad()
 def _evaluate(model, graphs, providers, recycles):
     """Noise-free, dropout-free pass; per-stage mean losses and final metrics."""
     struct_p, seq_p = providers

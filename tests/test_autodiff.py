@@ -1,6 +1,8 @@
 """Tape correctness: per-op gradient checks against central differences,
 backward contracts, and softmax behavior."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,7 +182,7 @@ class TestOpGradients:
 
         def f():
             gathered = ad.mul(ad.take_rows(h, idx), w1)
-            expanded = ad.mul(ad.expand_rows(h, 2), w2)
+            expanded = ad.mul(ad.take_rows(h, np.repeat(np.arange(5)[:, None], 2, 1)), w2)
             tiled = ad.mul(ad.tile_row(g, 5), w3)
             return ad.add(ad.tsum(ad.add(gathered, expanded)), ad.tsum(tiled))
 
@@ -218,7 +220,7 @@ class TestOpGradients:
         e = param((4, 2, 5), seed=34)
         w = param((11, 2), seed=35)
         fused = ad.pair_linear(h, e, neighbors, w, order=("self", "edge", "nbr"))
-        h_i = ad.expand_rows(h, 2)
+        h_i = ad.take_rows(h, np.repeat(np.arange(4)[:, None], 2, 1))
         h_j = ad.take_rows(h, neighbors)
         explicit = ad.linear(ad.concat([h_i, e, h_j], axis=2), w)
         assert np.max(np.abs(fused.data - explicit.data)) < 1e-12
@@ -284,3 +286,127 @@ class TestCheckGradient:
 
         err = check_gradient(f, {"w": w}, eps=1e-6, samples_per_param=5, seed=1)
         assert err < 1e-6
+
+
+def records_tape() -> bool:
+    """Whether a new op on a requires_grad leaf links to its parent."""
+    out = ad.mul(Tensor(np.ones(2), requires_grad=True), 2.0)
+    return out.requires_grad and len(out._parents) == 1
+
+
+class TestNoGrad:
+    def test_block_records_no_tape(self):
+        x = param((3, 2), seed=46)
+        with ad.no_grad():
+            y = ad.tsum(ad.mul(x, x))
+            assert not ad.grad_enabled()
+        assert not y.requires_grad and y._parents == ()
+        assert ad.grad_enabled() and records_tape()
+
+    def test_values_match_taped_run(self):
+        x = param((4, 3), seed=47)
+        taped = ad.softmax(ad.gelu(x), axis=1).data
+        with ad.no_grad():
+            free = ad.softmax(ad.gelu(x), axis=1).data
+        assert np.array_equal(taped, free)
+
+    def test_nested_blocks_restore_outer_state(self):
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not records_tape()
+            assert not records_tape()
+        assert records_tape()
+
+    def test_state_restored_when_body_raises(self):
+        with pytest.raises(NumericError):
+            with ad.no_grad():
+                ad.softmax(Tensor([np.nan, 0.0]))
+        assert ad.grad_enabled() and records_tape()
+
+    def test_interleaved_threads_keep_their_own_state(self):
+        # forced order: A enters, B enters, A exits, B exits; a single
+        # process-wide flag saved and restored on enter and exit ends
+        # this order switched off for good
+        step = threading.Barrier(2, timeout=10)
+        seen = {}
+
+        def thread_a():
+            with ad.no_grad():
+                step.wait()                      # 1: A is inside
+                step.wait()                      # 2: B is inside
+                seen["a_inside"] = records_tape()
+            seen["a_after"] = records_tape()
+            step.wait()                          # 3: A has left
+
+        def thread_b():
+            step.wait()                          # 1
+            with ad.no_grad():
+                step.wait()                      # 2
+                step.wait()                      # 3
+                seen["b_inside"] = records_tape()
+            seen["b_after"] = records_tape()
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+            assert not t.is_alive()
+        assert seen == {"a_inside": False, "a_after": True,
+                        "b_inside": False, "b_after": True}
+        assert records_tape()
+
+
+def onehot_scatter(g, index, n):
+    """Dense reference: one-hot (m, n) matrix transposed times the rows of g."""
+    flat = index.reshape(-1)
+    onehot = np.zeros((flat.size, n))
+    onehot[np.arange(flat.size), flat] = 1.0
+    return onehot.T @ g.reshape(flat.size, -1)
+
+
+class TestScatterRows:
+    def test_duplicate_indices_sum(self):
+        g = rand((4, 3), seed=48)
+        out = ad.scatter_rows(g, np.array([2, 0, 2, 2]), 3)
+        assert np.allclose(out[2], g[0] + g[2] + g[3], rtol=0, atol=1e-15)
+        assert np.array_equal(out[0], g[1])
+
+    def test_unnamed_row_is_exactly_zero(self):
+        g = rand((3, 5), seed=49)
+        out = ad.scatter_rows(g, np.array([0, 2, 0]), 4)
+        assert np.all(out[1] == 0.0) and np.all(out[3] == 0.0)
+
+    def test_negative_indices_follow_numpy(self):
+        g = rand((3, 2), seed=50)
+        out = ad.scatter_rows(g, np.array([-1, 2, 0]), 3)
+        assert np.allclose(out, onehot_scatter(g, np.array([2, 2, 0]), 3), rtol=0, atol=1e-15)
+
+    def test_index_changed_in_place_gets_a_new_plan(self):
+        g = rand((2, 2), seed=51)
+        index = np.array([0, 1])
+        first = ad.scatter_rows(g, index, 2)
+        index[:] = [1, 1]
+        assert np.array_equal(first, g)
+        assert np.allclose(ad.scatter_rows(g, index, 2), [[0.0, 0.0], g[0] + g[1]],
+                           rtol=0, atol=1e-15)
+
+    def test_take_rows_three_d_operand(self):
+        a = param((4, 2, 3), seed=52)
+        idx = np.array([[3, 3], [0, 1], [1, 3]])
+        w = rand((3, 2, 2, 3), seed=53)
+
+        def f():
+            return ad.tsum(ad.mul(ad.take_rows(a, idx), w))
+
+        assert check_gradient(f, {"a": a}, eps=1e-6) < 1e-7
+        ad.backward(f())
+        assert np.all(a.grad[2] == 0.0)
+
+    def test_knn_scale_matches_onehot_reference(self):
+        from invfold.geometry import FeatureConfig, build_knn_graph
+        from invfold.synthetic import random_backbone
+        graph = build_knn_graph(random_backbone(9, 300), FeatureConfig(k=48))
+        g = rand((300, 48, 16), seed=54)
+        out = ad.scatter_rows(g, graph.neighbors, 300)
+        assert np.max(np.abs(out - onehot_scatter(g, graph.neighbors, 300))) < 1e-12

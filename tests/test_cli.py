@@ -218,6 +218,18 @@ class TestTrainEval:
         empty.mkdir()
         assert main(["eval", "--dataset", str(empty), "--config", tiny_config]) == 1
 
+    def test_eval_jobs_leaves_the_calling_thread_taping(self, tmp_path, tiny_config, pdb_file):
+        from invfold import autodiff as ad
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        import shutil
+        for name in ("a", "b", "c"):
+            shutil.copy(pdb_file, dataset / f"{name}.pdb")
+        assert main(["eval", "--dataset", str(dataset), "--config", tiny_config,
+                     "--out", str(tmp_path / "m.csv"), "--jobs", "2"]) == 0
+        out = ad.mul(ad.Tensor(np.ones(2), requires_grad=True), 2.0)
+        assert out.requires_grad and out._parents
+
     def test_eval_malformed_fasta_nonfatal(self, tmp_path, tiny_config, pdb_file):
         dataset = tmp_path / "data"
         dataset.mkdir()
@@ -412,7 +424,8 @@ class TestMalformedInput:
         assert main(["theory", "--suite", "return-mass", "--config", str(path)]) == 1
         assert "seed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["[1, 2", "{\"a\": 1}", "[\"H\"]"])
+    @pytest.mark.parametrize("text", ["[1, 2", "{\"a\": 1}", "[\"H\"]", json.dumps([99] * 14),
+                                      json.dumps([-1] + [0] * 13), json.dumps([0] * 13)])
     def test_bad_ss_json_exit_2(self, tmp_path, tiny_config, pdb_file, capsys, text):
         ss = tmp_path / "ss.json"
         ss.write_text(text)

@@ -162,6 +162,41 @@ class TestRecycleInfer:
             qp.embed_sequence([MASK_TOKEN] * small_graph.n), 0)
         assert np.array_equal(r1.distributions[0].probs, probs.data)
 
+    def test_matches_taped_run_stages(self, small_model, small_graph, small_providers):
+        sp, qp = small_providers
+        taped, _, _ = small_model.run_stages(small_graph, sp, qp, 3)
+        assert all(p.requires_grad and p._parents for p in taped)
+        r = recycle_infer(small_model, small_graph, sp, qp, 3)
+        for d, p in zip(r.distributions, taped):
+            assert np.array_equal(d.probs, p.data)
+        assert ad.grad_enabled()
+
+    def test_memory_linear_in_edges(self):
+        import tracemalloc
+        from invfold.geometry import FeatureConfig, build_knn_graph
+        from invfold.synthetic import random_backbone
+        features = FeatureConfig()
+        cfg = ModelConfig(node_dim=features.node_dim, edge_dim=features.edge_dim,
+                          hidden_dim=32, layers=2, heads=2, struct_dim=16, seq_dim=16,
+                          dropout=0.0, recycles=2)
+        model = InverseFoldModel(cfg, seed=0)
+        sp, qp = StubStructureProvider(dim=16, seed=0), StubSequenceProvider(dim=16, seed=0)
+        peaks, edges = {}, {}
+        for n in (250, 1000):
+            graph = build_knn_graph(random_backbone(5, n), features)
+            edges[n] = graph.neighbors.size
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                recycle_infer(model, graph, sp, qp, 2)
+                peaks[n] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert edges[1000] == 4 * edges[250]
+        assert peaks[1000] / peaks[250] <= 4.5
+        # about 1.9 KiB per edge without a tape; keeping the tape costs about 8.7 KiB
+        assert peaks[1000] / edges[1000] <= 3072
+
     def test_stage_causality_prefix_equal(self, small_model, small_graph, small_providers):
         sp, qp = small_providers
         r1 = recycle_infer(small_model, small_graph, sp, qp, 1)
