@@ -216,14 +216,26 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """a @ b; axes before the last two are batch axes and broadcast as in
+    numpy, and the gradient is summed back over any broadcast."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise NumericError("matmul expects 2-D operands")
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise NumericError("matmul expects operands with at least 2 dimensions")
     return _make(
         a.data @ b.data,
-        [(a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)],
+        [
+            (a, lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)),
+            (b, lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)),
+        ],
         "matmul",
     )
+
+
+def transpose(a, axes) -> Tensor:
+    """Permute the axes of a (a view); backward applies the inverse."""
+    a = as_tensor(a)
+    inverse = tuple(np.argsort(axes))
+    return _make(a.data.transpose(axes), [(a, lambda g: g.transpose(inverse))], "transpose")
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -301,38 +313,47 @@ def pair_linear(h, e, neighbors, w, b=None, order=("self", "edge", "nbr")) -> Te
     return _make(out, parents, "pair_linear")
 
 
-def edge_scores(q, kk, heads: int) -> Tensor:
-    """Per-head dot products of node queries with per-edge keys.
+def edge_scores(q, e, w, heads: int) -> Tensor:
+    """Per-head scores of node queries against edge keys, q_i . (e_ji w).
 
-    q: (n, d), kk: (n, k, d) with d = heads * d_k -> (n, k, heads).
+    q: (n, d), e: (n, k, d_e), w: (d_e, d) with d = heads * d_k
+    -> (n, k, heads). The keys never materialize per edge: each query is
+    pulled back through its head's columns of w into edge space first,
+    (w_h q_i) . e_ji, so the edge work is a (k, d_e) x (d_e, heads)
+    product per node instead of an (n k, d_e) x (d_e, d) GEMM.
     """
-    q, kk = as_tensor(q), as_tensor(kk)
-    n, k, d = kk.shape
-    d_k = d // heads
-    q4 = q.data.reshape(n, heads, d_k)
-    k4 = kk.data.reshape(n, k, heads, d_k)
-    out = np.einsum("nhd,nkhd->nkh", q4, k4)
-    return _make(out, [
-        (q, lambda g: np.einsum("nkh,nkhd->nhd", g, k4).reshape(n, d)),
-        (kk, lambda g: np.einsum("nkh,nhd->nkhd", g, q4).reshape(n, k, d)),
-    ], "edge_scores")
+    q, e, w = as_tensor(q), as_tensor(e), as_tensor(w)
+    n, d = q.shape
+    d_e, d_k = w.shape[0], d // heads
+    q_heads = transpose(reshape(q, (n, heads, d_k)), (1, 0, 2))     # (heads, n, d_k)
+    w_heads = transpose(reshape(w, (d_e, heads, d_k)), (1, 2, 0))   # (heads, d_k, d_e)
+    q_edge = matmul(q_heads, w_heads)                               # (heads, n, d_e)
+    return matmul(e, transpose(q_edge, (1, 2, 0)))                  # (n, k, heads)
 
 
-def attn_combine(alpha, v, heads: int) -> Tensor:
-    """Attention-weighted sum of per-edge values.
+def attn_combine(alpha, h, e, neighbors, w, heads: int) -> Tensor:
+    """Per-head sum_j alpha_ji v_ji with v_ji = [h_i || e_ji || h_j] w.
 
-    alpha: (n, k, heads), v: (n, k, d) -> (n, d).
+    alpha: (n, k, heads), h: (n, d), e: (n, k, d_e), neighbors: (n, k)
+    sender indices, w: (2 d + d_e, d_out) with d_out = heads * d_v
+    -> (n, d_out). The sum is linear in v, so it runs on the inputs:
+    each head first pools [(sum_j alpha) h_i || sum_j alpha e_ji ||
+    sum_j alpha h_j] with one (heads, k) x (k, .) product per node, then
+    projects the pool by its own columns of w. Values never materialize
+    per edge.
     """
-    alpha, v = as_tensor(alpha), as_tensor(v)
-    n, k, d = v.shape
-    d_v = d // heads
-    v4 = v.data.reshape(n, k, heads, d_v)
-    out = np.einsum("nkh,nkhv->nhv", alpha.data, v4).reshape(n, d)
-    return _make(out, [
-        (alpha, lambda g: np.einsum("nkhv,nhv->nkh", v4, g.reshape(n, heads, d_v))),
-        (v, lambda g: np.einsum("nkh,nhv->nkhv", alpha.data,
-                                g.reshape(n, heads, d_v)).reshape(n, k, d)),
-    ], "attn_combine")
+    alpha, h, e, w = as_tensor(alpha), as_tensor(h), as_tensor(e), as_tensor(w)
+    n, d = h.shape
+    d_in, d_v = w.shape[0], w.shape[1] // heads
+    alpha_t = transpose(alpha, (0, 2, 1))                           # (n, heads, k)
+    pooled = concat([
+        mul(reshape(tsum(alpha, axis=1), (n, heads, 1)), reshape(h, (n, 1, d))),
+        matmul(alpha_t, e),
+        matmul(alpha_t, take_rows(h, neighbors)),
+    ], axis=2)                                                      # (n, heads, d_in)
+    w_heads = transpose(reshape(w, (d_in, heads, d_v)), (1, 0, 2))  # (heads, d_in, d_v)
+    out = matmul(transpose(pooled, (1, 0, 2)), w_heads)             # (heads, n, d_v)
+    return reshape(transpose(out, (1, 0, 2)), (n, heads * d_v))
 
 
 def reshape(a, shape) -> Tensor:
@@ -623,10 +644,11 @@ def check_gradient(f, params, eps: float = 1e-5, samples_per_param=None, seed: i
         aflat = analytic[name].reshape(-1)
         for idx in indices:
             orig = flat[idx]
-            flat[idx] = orig + eps
-            hi = f().item()
-            flat[idx] = orig - eps
-            lo = f().item()
+            with no_grad():  # the probes need values only
+                flat[idx] = orig + eps
+                hi = f().item()
+                flat[idx] = orig - eps
+                lo = f().item()
             flat[idx] = orig
             numeric = (hi - lo) / (2.0 * eps)
             a = aflat[idx]

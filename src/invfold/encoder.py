@@ -145,13 +145,11 @@ def gau_attention(h: Tensor, e: Tensor, neighbors: np.ndarray, params: Attention
     heads, d_k = params.heads, params.d_k
 
     q = params.w_q(h)                                   # (n, d)
-    kk = params.w_k(e)                                  # (n, k, d)
-    # W_V [h_i || e_{ji} || h_j], with the node blocks lifted to (n, d) GEMMs
-    v = ad.pair_linear(h, e, neighbors, params.w_v.w, order=("self", "edge", "nbr"))
-
-    logits = ad.mul(ad.edge_scores(q, kk, heads), 1.0 / math.sqrt(d_k))  # (n, k, heads)
-    alpha = ad.softmax(logits, axis=1)
-    h_local = ad.attn_combine(alpha, v, heads)
+    # keys and values never materialize per edge: the score is linear in
+    # the key and the attention sum in the value (ad.edge_scores, ad.attn_combine)
+    logits = ad.mul(ad.edge_scores(q, e, params.w_k.w, heads), 1.0 / math.sqrt(d_k))
+    alpha = ad.softmax(logits, axis=1)                  # (n, k, heads)
+    h_local = ad.attn_combine(alpha, h, e, neighbors, params.w_v.w, heads)
     return h_local, alpha
 
 

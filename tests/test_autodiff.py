@@ -226,17 +226,49 @@ class TestOpGradients:
         assert np.max(np.abs(fused.data - explicit.data)) < 1e-12
 
     def test_edge_scores_and_combine(self):
+        neighbors = np.array([[1, 2], [0, 2], [1, 0]])
         q = param((3, 4), seed=36)
-        kk = param((3, 2, 4), seed=37)
-        v = param((3, 2, 4), seed=38)
-        w = rand((3, 4), seed=39)
+        h = param((3, 4), seed=37)
+        e = param((3, 2, 3), seed=38)
+        wk = param((3, 4), seed=39)
+        wv = param((11, 4), seed=40)
+        w = rand((3, 4), seed=41)
 
         def f():
-            scores = ad.edge_scores(q, kk, heads=2)
+            scores = ad.edge_scores(q, e, wk, heads=2)
             alpha = ad.softmax(scores, axis=1)
-            return ad.tsum(ad.mul(ad.attn_combine(alpha, v, heads=2), w))
+            return ad.tsum(ad.mul(ad.attn_combine(alpha, h, e, neighbors, wv, heads=2), w))
 
-        assert check_gradient(f, {"q": q, "k": kk, "v": v}, eps=1e-6) < 1e-6
+        params = {"q": q, "h": h, "e": e, "wk": wk, "wv": wv}
+        assert check_gradient(f, params, eps=1e-6) < 1e-6
+
+    def test_edge_scores_and_combine_match_materialized_keys_and_values(self):
+        rng = np.random.default_rng(5)
+        n, k, d, d_e, heads = 6, 4, 8, 5, 2
+        neighbors = np.array([rng.permutation(n)[:k] for _ in range(n)])
+        q, h = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+        e = rng.standard_normal((n, k, d_e))
+        wk, wv = rng.standard_normal((d_e, d)), rng.standard_normal((2 * d + d_e, d))
+        alpha = rng.random((n, k, heads))
+        keys = (e @ wk).reshape(n, k, heads, d // heads)
+        ref_scores = np.einsum("nhc,nkhc->nkh", q.reshape(n, heads, -1), keys)
+        assert np.max(np.abs(ad.edge_scores(q, e, wk, heads).data - ref_scores)) < 1e-12
+        h_i = np.repeat(h[:, None, :], k, axis=1)
+        values = (np.concatenate([h_i, e, h[neighbors]], axis=2) @ wv).reshape(n, k, heads, -1)
+        ref_out = np.einsum("nkh,nkhv->nhv", alpha, values).reshape(n, d)
+        out = ad.attn_combine(alpha, h, e, neighbors, wv, heads).data
+        assert np.max(np.abs(out - ref_out)) < 1e-12
+
+    def test_batched_matmul_broadcast_gradient(self):
+        a = param((3, 4, 2), seed=42)
+        b = param((4, 5), seed=43)
+        w = rand((2, 3, 5), seed=44)
+
+        def f():
+            # (3, 4, 2) -> (2, 3, 4); b broadcasts over the batch axis
+            return ad.tsum(ad.mul(ad.matmul(ad.transpose(a, (2, 0, 1)), b), w))
+
+        assert check_gradient(f, {"a": a, "b": b}, eps=1e-6) < 1e-6
 
     def test_matmul_chain_finite_difference(self):
         w1 = param((4, 8), seed=40)
