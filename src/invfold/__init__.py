@@ -15,7 +15,7 @@ from .recycling import (
     SequenceDistribution,
     recycle_infer,
 )
-from .structure_io import ProteinBackbone, Residue, parse_pdb
+from .structure_io import ProteinBackbone, parse_pdb
 from .training import Metrics, TrainConfig, metrics, staged_loss, train_toy
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ __all__ = [
     "ModelConfig",
     "PredictedSequence",
     "ProteinBackbone",
-    "Residue",
     "ResidueGraph",
     "SequenceDistribution",
     "TrainConfig",

@@ -256,35 +256,30 @@ def linear(x, w, b=None) -> Tensor:
     return _make(out.reshape(*lead, w.shape[1]), parents, "linear")
 
 
-def pair_linear(h, e, neighbors, w, b=None, order=("self", "edge", "nbr")) -> Tensor:
-    """Per-edge projection of receiver state, edge state, sender state.
+def pair_linear(h, e, neighbors, w, b=None) -> Tensor:
+    """Per-edge projection of [h_i || h_j || e_ji]: receiver state,
+    sender state, edge state.
 
-    Equivalent to concatenating [segments of `order`] per edge and
-    multiplying by w, but the node segments run as (n, d) GEMMs that are
-    then broadcast/gathered, which avoids materializing the wide
-    concatenation. `order` names the row blocks of w: "self" is the
-    receiving node, "nbr" the sending node, "edge" the edge vector.
-    The receiver and sender projections form one (2, n, d_out) tape
-    node, so backward reduces the edge gradient onto them once (a slot
-    sum and a `scatter_rows`) and both h and w read the result.
+    Equivalent to concatenating the three per edge and multiplying by w,
+    whose rows are d receiver, d sender and d_e edge rows in that order,
+    but the node segments run as (n, d) GEMMs that are then
+    broadcast/gathered, which avoids materializing the wide
+    concatenation. The receiver and sender projections form one
+    (2, n, d_out) tape node, so backward reduces the edge gradient onto
+    them once (a slot sum and a `scatter_rows`) and both h and w read
+    the result.
     """
     h, w = as_tensor(h), as_tensor(w)
     e = as_tensor(e)
     n, d = h.shape
     _, k, d_e = e.shape
-    sizes = {"self": d, "nbr": d, "edge": d_e}
-    blocks = {}
-    row = 0
-    for seg in order:
-        blocks[seg] = slice(row, row + sizes[seg])
-        row += sizes[seg]
-    w_self, w_nbr, w_edge = (w.data[blocks[seg]] for seg in ("self", "nbr", "edge"))
+    w_self, w_nbr, w_edge = w.data[:d], w.data[d:2 * d], w.data[2 * d:]
     d_out = w.shape[1]
 
     def vjp_nodes_w(g):
         gw = np.zeros_like(w.data)
-        gw[blocks["self"]] = h.data.T @ g[0]
-        gw[blocks["nbr"]] = h.data.T @ g[1]
+        gw[:d] = h.data.T @ g[0]
+        gw[d:2 * d] = h.data.T @ g[1]
         return gw
 
     nodes = _make(np.stack([h.data @ w_self, h.data @ w_nbr]), [
@@ -298,7 +293,7 @@ def pair_linear(h, e, neighbors, w, b=None, order=("self", "edge", "nbr")) -> Te
 
     def vjp_edge_w(g):
         gw = np.zeros_like(w.data)
-        gw[blocks["edge"]] = e_flat.T @ g.reshape(-1, d_out)
+        gw[2 * d:] = e_flat.T @ g.reshape(-1, d_out)
         return gw
 
     parents = [

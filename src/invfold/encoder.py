@@ -161,7 +161,7 @@ def edge_update(h: Tensor, e: Tensor, neighbors: np.ndarray, mlp: MlpBlock,
     so the same-layer cross-channel derivative is exactly zero.
     """
     first = mlp.layers[0]
-    x = ad.pair_linear(h, e, neighbors, first.w, first.b, order=("self", "nbr", "edge"))
+    x = ad.pair_linear(h, e, neighbors, first.w, first.b)
     delta = mlp.apply_tail(x, training=training, stream=stream)
     return ad.add(e, delta)
 
@@ -196,17 +196,17 @@ def symmetrize_edges(e: Tensor, neighbors: np.ndarray) -> Tensor:
     Non-mutual directed edges are left unchanged.
     """
     n, k, d = e.shape
-    partner = np.arange(n * k)
-    slot_of = {}
-    for i in range(n):
-        for m in range(k):
-            slot_of[(i, int(neighbors[i, m]))] = i * k + m
-    for i in range(n):
-        for m in range(k):
-            j = int(neighbors[i, m])
-            back = slot_of.get((j, i))
-            if back is not None:
-                partner[i * k + m] = back
+    # slot (i, m) holds the edge j -> i, j = neighbors[i, m]; key it i*n + j and
+    # find j*n + i among the sorted keys (the last slot wins on a repeated key)
+    receivers = np.arange(n, dtype=np.int64)[:, None]
+    senders = neighbors.astype(np.int64)
+    keys = (receivers * n + senders).ravel()
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    mirror = (senders * n + receivers).ravel()
+    pos = np.searchsorted(ranked, mirror, side="right") - 1
+    found = (pos >= 0) & (ranked[np.maximum(pos, 0)] == mirror)
+    partner = np.where(found, order[np.maximum(pos, 0)], np.arange(n * k))
     flat = ad.reshape(e, (n * k, d))
     mirrored = ad.take_rows(flat, partner)
     return ad.reshape(ad.mul(ad.add(flat, mirrored), 0.5), (n, k, d))

@@ -26,7 +26,7 @@ class InvalidParameter(InvfoldError):
 
 
 class DegenerateFrame(InvfoldError):
-    """Residue atoms are collinear; no local frame exists."""
+    """A residue's atoms are collinear; no local frame exists."""
 
     def __init__(self, residue_index, message=None):
         self.residue_index = residue_index
@@ -54,7 +54,7 @@ class IsolatedNode(InvfoldError):
 
 
 class TrainingDiverged(InvfoldError):
-    """Loss became non-finite during training."""
+    """Loss or gradient became non-finite during training."""
 
     def __init__(self, step, message=None):
         self.step = step

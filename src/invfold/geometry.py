@@ -16,7 +16,8 @@ translation of the input coordinates:
 Edge features are stored independently per orientation: the entry for
 j->i lives in receiver i's slot for neighbor j and never aliases i->j.
 
-Anything derived from an imputed (flagged) atom is zeroed.
+Anything derived from an atom that the backbone's `present` mask marks
+imputed is zeroed.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import DegenerateFrame, GraphTooSmall, InvalidParameter, ParseError
 from .structure_io import ProteinBackbone
 
 _GRAPH_MAGIC = b"IFG1"
+_EYE = np.eye(3)
 
 
 @dataclass
@@ -78,15 +80,6 @@ class FeatureConfig:
 
 
 @dataclass
-class LocalFrame:
-    """Per-residue orthonormal frame; rows of `basis` are the local axes."""
-
-    origin: np.ndarray
-    basis: np.ndarray
-    valid: bool = True
-
-
-@dataclass
 class ResidueGraph:
     """k-NN graph with invariant node and directed-edge features."""
 
@@ -115,33 +108,38 @@ class ResidueGraph:
         return self.edge_feats[receiver, slots[0]]
 
 
-def local_frames(backbone: ProteinBackbone) -> list:
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (n, 3) arrays, as a batched matmul (the
+    same rounding as a 1-D `a[i] @ b[i]` and `np.linalg.norm(a[i])`)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def local_frames(backbone: ProteinBackbone):
     """Gram-Schmidt frames from (CA->C, CA->N), z = x cross y.
 
-    Residues whose N or C atom is imputed get an identity-basis frame
-    marked invalid; genuinely collinear real atoms raise DegenerateFrame.
+    Returns (basis, valid): basis is (n, 3, 3) with the local axes as
+    rows. Residues whose N or C atom is imputed get the identity basis
+    and valid False; genuinely collinear real atoms raise
+    DegenerateFrame for the first such residue.
     """
     if len(backbone) == 0:
         raise InvalidParameter("empty backbone")
-    frames = []
-    for i, res in enumerate(backbone.residues):
-        if "N" in res.imputed or "C" in res.imputed:
-            frames.append(LocalFrame(res.ca.copy(), np.eye(3), valid=False))
-            continue
-        u = res.c - res.ca
-        nu = np.linalg.norm(u)
-        if nu < 1e-9:
-            raise DegenerateFrame(i)
-        x = u / nu
-        w = res.n - res.ca
-        y_raw = w - (w @ x) * x
-        ny = np.linalg.norm(y_raw)
-        if ny < 1e-9:
-            raise DegenerateFrame(i)
-        y = y_raw / ny
-        z = np.cross(x, y)
-        frames.append(LocalFrame(res.ca.copy(), np.stack([x, y, z])))
-    return frames
+    atoms = backbone.atoms
+    valid = backbone.present[:, 0] & backbone.present[:, 2]
+    # an imputed N or C sits on CA; its frame is built from the unit axes
+    # instead, so it comes out as the identity without dividing by zero
+    u = np.where(valid[:, None], atoms[:, 2] - atoms[:, 1], _EYE[0])
+    w = np.where(valid[:, None], atoms[:, 0] - atoms[:, 1], _EYE[1])
+    nu = np.sqrt(_rowdot(u, u))
+    bad = nu < 1e-9
+    x = u / np.where(bad, 1.0, nu)[:, None]
+    y_raw = w - _rowdot(w, x)[:, None] * x
+    ny = np.sqrt(_rowdot(y_raw, y_raw))
+    bad |= ny < 1e-9
+    if bad.any():
+        raise DegenerateFrame(int(np.argmax(bad)))
+    y = y_raw / ny[:, None]
+    return np.stack([x, y, np.cross(x, y)], axis=1), valid
 
 
 def torsion(p0, p1, p2, p3) -> np.ndarray:
@@ -176,8 +174,7 @@ def dihedral_angles(backbone: ProteinBackbone):
         return angles, mask
     coords = backbone.coords()
     N, CA, C = coords[:, 0], coords[:, 1], coords[:, 2]
-    real_n = np.array(["N" not in r.imputed for r in backbone.residues])
-    real_c = np.array(["C" not in r.imputed for r in backbone.residues])
+    real_n, real_c = backbone.present[:, 0], backbone.present[:, 2]
 
     angles[1:, 0] = torsion(C[:-1], N[1:], CA[1:], C[1:])
     mask[1:, 0] = real_c[:-1] & real_n[1:] & real_c[1:]
@@ -281,16 +278,6 @@ def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
     return q[0] if single else q
 
 
-def relative_orientation(frame_i: LocalFrame, frame_j: LocalFrame) -> np.ndarray:
-    """Quaternion of the rotation taking frame j's axes onto frame i's.
-
-    With rows-as-axes bases the invariant relative rotation is
-    basis_i @ basis_j.T (the map from j-local to i-local coordinates);
-    it is unchanged under any global rigid motion.
-    """
-    return rotation_to_quaternion(frame_i.basis @ frame_j.basis.T)
-
-
 def build_knn_graph(backbone: ProteinBackbone, cfg: FeatureConfig, ss=None) -> ResidueGraph:
     """Assemble the featurized k-NN residue graph.
 
@@ -311,8 +298,7 @@ def build_knn_graph(backbone: ProteinBackbone, cfg: FeatureConfig, ss=None) -> R
     # Stable argsort: equidistant candidates resolve to the lower index.
     neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k_eff].astype(np.int32)
 
-    atom_valid = np.array([[a not in r.imputed for a in ("N", "CA", "C", "O")]
-                           for r in backbone.residues])
+    atom_valid = backbone.present
 
     node_blocks = []
     node_layout = []
@@ -376,9 +362,7 @@ def build_knn_graph(backbone: ProteinBackbone, cfg: FeatureConfig, ss=None) -> R
     offset += block.shape[2]
 
     if cfg.use_orientations:
-        frames = local_frames(backbone)
-        basis = np.stack([f.basis for f in frames])
-        valid = np.array([f.valid for f in frames])
+        basis, valid = local_frames(backbone)
         rel = np.einsum("nab,nmcb->nmac", basis, basis[neighbors])
         quat = rotation_to_quaternion(rel)            # (n, k', 4)
         quat *= (valid[:, None] & valid[neighbors])[..., None]
@@ -409,7 +393,7 @@ def build_knn_graph(backbone: ProteinBackbone, cfg: FeatureConfig, ss=None) -> R
         node_layout=node_layout,
         edge_layout=edge_layout,
         labels=list(backbone.sequence),
-        seq_index=np.array([r.seq_index for r in backbone.residues], dtype=np.int32),
+        seq_index=backbone.seq_index.astype(np.int32),
         chain_id=backbone.chain_id,
         backbone=backbone,
     )

@@ -1,20 +1,23 @@
 """Backbone ingestion and serialization.
 
 Parses the ATOM records of single-model PDB text into an in-memory
-backbone (N, CA, C, O per residue), applies preprocessing transforms
+backbone (one (n, 4, 3) N, CA, C, O coordinate array plus an (n, 4)
+atom-present mask), applies preprocessing transforms
 (rigid motion, Gaussian coordinate noise), and round-trips backbones
 through a compact binary container (JSON metadata + little-endian
 float32 coordinate block; see docs/formats.md).
 
 Residues without a CA record are dropped at parse time. Residues with a
 CA but missing N/C/O are kept: the absent atoms are imputed by copying
-CA and flagged, and downstream featurization zeroes anything derived
-from a flagged atom.
+CA and marked False in the mask, and downstream featurization zeroes
+anything derived from an atom the mask marks absent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import itertools
+from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -43,67 +46,63 @@ THREE_TO_ONE = {
 }
 
 BACKBONE_ATOMS = ("N", "CA", "C", "O")
+_ATOM_COLUMN = {name: i for i, name in enumerate(BACKBONE_ATOMS)}
+# The backbone container lists a residue's imputed atoms by sorted name.
+_SORTED_NAMES = sorted(BACKBONE_ATOMS)
+_NAME_ORDER = [_ATOM_COLUMN[name] for name in _SORTED_NAMES]
 
 _CONTAINER_MAGIC = b"IFB1"
 _FLOAT32_MAX = float(np.finfo(np.float32).max)  # `abs(nan) <= _FLOAT32_MAX` is false too
 
 
-@dataclass
-class Residue:
-    """One residue's backbone atoms, in angstroms."""
-
-    aa: str
-    n: np.ndarray
-    ca: np.ndarray
-    c: np.ndarray
-    o: np.ndarray
-    seq_index: int
-    imputed: frozenset = field(default_factory=frozenset)
-
-    def coords(self) -> np.ndarray:
-        """(4, 3) array in N, CA, C, O order."""
-        return np.stack([self.n, self.ca, self.c, self.o])
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ProteinBackbone:
-    """Ordered residues of one chain."""
+    """One chain's backbone as arrays.
 
-    residues: list
+    `atoms` is (n, 4, 3) float64 in N, CA, C, O order and `present` is
+    (n, 4) bool, False where an atom was imputed from CA. `seq_index`
+    holds the (n,) residue numbers of the source file. The arrays are
+    stored read-only: a transform returns a new backbone.
+    """
+
+    atoms: np.ndarray
+    present: np.ndarray
+    sequence: str
+    seq_index: np.ndarray
     chain_id: str
 
-    def __len__(self):
-        return len(self.residues)
+    def __post_init__(self):
+        atoms, present, seq_index = (np.array(a) for a in (self.atoms, self.present, self.seq_index))
+        n = atoms.shape[0] if atoms.ndim else -1
+        if atoms.shape != (n, 4, 3) or atoms.dtype != np.float64:
+            raise InvalidParameter(f"atoms must be (n, 4, 3) float64, got {atoms.shape} {atoms.dtype}")
+        if present.shape != (n, 4) or present.dtype != np.bool_:
+            raise InvalidParameter(f"present must be ({n}, 4) bool, got {present.shape} {present.dtype}")
+        if not present[:, 1].all():
+            raise InvalidParameter("every residue needs a CA atom")
+        if seq_index.shape != (n,) or seq_index.dtype.kind not in "iu":
+            raise InvalidParameter(f"seq_index must be ({n},) int, got {seq_index.shape} {seq_index.dtype}")
+        if not isinstance(self.sequence, str) or len(self.sequence) != n:
+            raise InvalidParameter(f"sequence must be a str of {n} residue codes")
+        if not isinstance(self.chain_id, str):
+            raise InvalidParameter("chain_id must be a str")
+        for name, array in (("atoms", atoms), ("present", present), ("seq_index", seq_index)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
-    @property
-    def sequence(self) -> str:
-        return "".join(r.aa for r in self.residues)
+    def __len__(self):
+        return self.atoms.shape[0]
 
     def coords(self) -> np.ndarray:
-        """(n, 4, 3) float64 array in N, CA, C, O order."""
-        if not self.residues:
-            return np.zeros((0, 4, 3))
-        return np.stack([r.coords() for r in self.residues])
-
-    def ca_coords(self) -> np.ndarray:
-        return np.stack([r.ca for r in self.residues])
+        """(n, 4, 3) float64 array in N, CA, C, O order (read-only)."""
+        return self.atoms
 
     def with_coords(self, coords: np.ndarray) -> "ProteinBackbone":
         """Copy with coordinates replaced from an (n, 4, 3) array."""
         coords = np.asarray(coords, dtype=np.float64)
         if coords.shape != (len(self), 4, 3):
             raise InvalidParameter(f"expected coords of shape {(len(self), 4, 3)}, got {coords.shape}")
-        residues = [
-            replace(r, n=coords[i, 0].copy(), ca=coords[i, 1].copy(),
-                    c=coords[i, 2].copy(), o=coords[i, 3].copy())
-            for i, r in enumerate(self.residues)
-        ]
-        return ProteinBackbone(residues, self.chain_id)
-
-
-def _vec(x: float, y: float, z: float) -> np.ndarray:
-    # Quantize through float32 so the container round-trip is lossless.
-    return np.array([x, y, z], dtype=np.float32).astype(np.float64)
+        return replace(self, atoms=coords)
 
 
 def parse_pdb(text: str, chain: str) -> ProteinBackbone:
@@ -111,8 +110,10 @@ def parse_pdb(text: str, chain: str) -> ProteinBackbone:
 
     Fixed-width ATOM records only (PDB v3.3 columns). HETATM records,
     altlocs other than blank/'A', and insertion codes are skipped.
-    Residues lacking a CA record are dropped; non-standard residue
-    names map to the unknown code.
+    The first record of an atom wins. Residues lacking a CA record are
+    dropped; non-standard residue names map to the unknown code.
+    Coordinates are quantized through float32, so the container
+    round-trip is lossless.
 
     Raises ParseError for unusable text (including a coordinate that is
     not finite once stored as float32), ChainNotFound when the chain
@@ -124,10 +125,9 @@ def parse_pdb(text: str, chain: str) -> ProteinBackbone:
 
     saw_atom = False
     chains_seen = set()
-    # residue key -> {atom name -> xyz}; file order preserved
-    atoms: dict = {}
-    order: list = []
-    names: dict = {}
+    slot_of: dict = {}  # residue number -> slot, in file order
+    codes: list = []  # one-letter code per slot
+    slots, columns, xyz = [], [], []  # one entry per kept atom record
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.startswith("ATOM"):
@@ -144,10 +144,9 @@ def parse_pdb(text: str, chain: str) -> ProteinBackbone:
         chains_seen.add(chain_id)
         if chain_id != chain:
             continue
-        atom_name = line[12:16].strip()
-        if atom_name not in BACKBONE_ATOMS:
+        column = _ATOM_COLUMN.get(line[12:16].strip())
+        if column is None:
             continue
-        resname = line[17:20].strip()
         try:
             resseq = int(line[22:26])
             x = float(line[30:38])
@@ -157,41 +156,37 @@ def parse_pdb(text: str, chain: str) -> ProteinBackbone:
             raise ParseError(f"line {lineno}: malformed ATOM record ({exc})") from exc
         if not (abs(x) <= _FLOAT32_MAX and abs(y) <= _FLOAT32_MAX and abs(z) <= _FLOAT32_MAX):
             raise ParseError(f"line {lineno}: coordinate not finite in float32 ({x}, {y}, {z})")
-        if resseq not in atoms:
-            atoms[resseq] = {}
-            order.append(resseq)
-            names[resseq] = resname
-        atoms[resseq].setdefault(atom_name, _vec(x, y, z))
+        slot = slot_of.setdefault(resseq, len(slot_of))
+        if slot == len(codes):
+            codes.append(THREE_TO_ONE.get(line[17:20].strip(), UNKNOWN_AA))
+        slots.append(slot)
+        columns.append(column)
+        xyz.append((x, y, z))
 
     if not saw_atom:
         raise ParseError("no ATOM records found")
     if chain not in chains_seen:
         raise ChainNotFound(f"chain {chain!r} not present (found {sorted(chains_seen)})")
 
-    residues = []
-    for resseq in order:
-        rec = atoms[resseq]
-        if "CA" not in rec:
-            continue
-        ca = rec["CA"]
-        imputed = frozenset(a for a in ("N", "C", "O") if a not in rec)
-        residues.append(Residue(
-            aa=THREE_TO_ONE.get(names[resseq], UNKNOWN_AA),
-            n=rec.get("N", ca).copy(),
-            ca=ca.copy(),
-            c=rec.get("C", ca).copy(),
-            o=rec.get("O", ca).copy(),
-            seq_index=resseq,
-            imputed=imputed,
-        ))
-
-    if not residues:
+    m = len(codes)
+    cells, first = np.unique(np.array(slots, dtype=np.int64) * 4 + np.array(columns, dtype=np.int64),
+                             return_index=True)
+    atoms = np.zeros((m * 4, 3))
+    atoms[cells] = np.array(xyz, dtype=np.float32).reshape(-1, 3)[first]
+    present = np.zeros(m * 4, dtype=bool)
+    present[cells] = True
+    atoms, present = atoms.reshape(m, 4, 3), present.reshape(m, 4)
+    keep = present[:, 1]
+    if not keep.any():
         raise EmptyBackbone(f"chain {chain!r} has no residues with a CA atom")
-    return ProteinBackbone(residues, chain)
+    atoms, present = atoms[keep], present[keep]
+    atoms = np.where(present[..., None], atoms, atoms[:, 1:2])  # impute absent atoms at CA
+    return ProteinBackbone(atoms, present, "".join(itertools.compress(codes, keep)),
+                           np.array(list(slot_of), dtype=np.int64)[keep], chain)
 
 
 def apply_rigid_transform(backbone: ProteinBackbone, rotation, translation) -> ProteinBackbone:
-    """Map every atom x to R x + t. Labels and flags are unchanged."""
+    """Map every atom x to R x + t. Labels and the atom mask are unchanged."""
     r = np.asarray(rotation, dtype=np.float64)
     t = np.asarray(translation, dtype=np.float64).reshape(3)
     if r.shape != (3, 3):
@@ -226,14 +221,10 @@ def serialize_backbone(backbone: ProteinBackbone) -> bytes:
     by parse_pdb round-trip exactly because the parser quantizes to
     float32 on ingest.
     """
-    header = {
-        "format": "backbone/1",
-        "chain_id": backbone.chain_id,
-        "residues": [
-            {"aa": r.aa, "seq_index": r.seq_index, "imputed": sorted(r.imputed)}
-            for r in backbone.residues
-        ],
-    }
+    absent = ~backbone.present[:, _NAME_ORDER]
+    residues = [{"aa": aa, "seq_index": index, "imputed": list(itertools.compress(_SORTED_NAMES, row))}
+                for aa, index, row in zip(backbone.sequence, backbone.seq_index.tolist(), absent.tolist())]
+    header = {"format": "backbone/1", "chain_id": backbone.chain_id, "residues": residues}
     count = len(backbone) * 4 * 3
     return pack(_CONTAINER_MAGIC, header, [("<u8", [count]), ("<f4", backbone.coords())])
 
@@ -246,12 +237,21 @@ def deserialize_backbone(data: bytes) -> ProteinBackbone:
     if count[0] != coords.size:
         raise ParseError(f"backbone container: count {count[0]} != {coords.size} coordinates")
     with checked(ParseError, "backbone container header"):
-        residues = [
-            Residue(meta["aa"], *coords[i].astype(np.float64), seq_index=meta["seq_index"],
-                    imputed=frozenset(meta["imputed"]))
-            for i, meta in enumerate(header["residues"])
-        ]
-        return ProteinBackbone(residues, header["chain_id"])
+        residues = header["residues"]
+        imputed = list(map(itemgetter("imputed"), residues))
+        present = np.ones((len(residues), 4), dtype=bool)
+        rows = np.repeat(np.arange(len(residues)), list(map(len, imputed)))
+        present[rows, np.array([_ATOM_COLUMN[a] for a in itertools.chain.from_iterable(imputed)],
+                               dtype=np.intp)] = False
+        seq_index = list(map(itemgetter("seq_index"), residues))
+        if not set(map(type, seq_index)) <= {int}:
+            raise TypeError("a seq_index is not an integer")
+        fields = (coords.astype(np.float64), present, "".join(map(itemgetter("aa"), residues)),
+                  np.array(seq_index, dtype=np.int64), header["chain_id"])
+    try:
+        return ProteinBackbone(*fields)
+    except InvalidParameter as exc:
+        raise ParseError(f"backbone container: {exc}") from exc
 
 
 def write_backbone(backbone: ProteinBackbone, path) -> None:
@@ -300,11 +300,9 @@ def read_fasta_file(path) -> list:
 
 def backbones_equal(a: ProteinBackbone, b: ProteinBackbone, tol: float = 0.0) -> bool:
     """Structural equality; tol=0 means bit-identical coordinates."""
-    if a.chain_id != b.chain_id or len(a) != len(b):
+    if (a.chain_id != b.chain_id or a.sequence != b.sequence
+            or not np.array_equal(a.seq_index, b.seq_index) or not np.array_equal(a.present, b.present)):
         return False
-    for ra, rb in zip(a.residues, b.residues):
-        if (ra.aa, ra.seq_index, ra.imputed) != (rb.aa, rb.seq_index, rb.imputed):
-            return False
     if tol == 0.0:
         return bool(np.array_equal(a.coords(), b.coords()))
     return bool(np.allclose(a.coords(), b.coords(), atol=tol, rtol=0.0))

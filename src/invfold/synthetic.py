@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .rng import RandomStream
-from .structure_io import AMINO_ACIDS, ProteinBackbone, Residue
+from .structure_io import AMINO_ACIDS, ProteinBackbone
 
 # Idealized backbone geometry (angstroms, degrees).
 BOND_N_CA = 1.458
@@ -64,30 +64,21 @@ def build_chain(phis, psis, omegas, sequence=None, chain_id="A") -> ProteinBackb
     ang_c_n_ca = math.radians(ANGLE_C_N_CA)
     ang_ca_c_o = math.radians(ANGLE_CA_C_O)
 
-    n_at = [np.array([0.0, 0.0, 0.0])]
-    ca_at = [np.array([BOND_N_CA, 0.0, 0.0])]
-    c_at = [ca_at[0] + BOND_CA_C * np.array([math.cos(math.pi - ang_n_ca_c),
-                                             math.sin(math.pi - ang_n_ca_c), 0.0])]
+    xyz = np.zeros((n_res, 4, 3))
+    xyz[0, 1] = (BOND_N_CA, 0.0, 0.0)
+    xyz[0, 2] = xyz[0, 1] + BOND_CA_C * np.array([math.cos(math.pi - ang_n_ca_c),
+                                                 math.sin(math.pi - ang_n_ca_c), 0.0])
     for i in range(1, n_res):
-        n_next = place_atom(n_at[i - 1], ca_at[i - 1], c_at[i - 1],
-                            BOND_C_N, ang_ca_c_n, psis[i - 1])
-        ca_next = place_atom(ca_at[i - 1], c_at[i - 1], n_next,
-                             BOND_N_CA, ang_c_n_ca, omegas[i])
-        c_next = place_atom(c_at[i - 1], n_next, ca_next,
-                            BOND_CA_C, ang_n_ca_c, phis[i])
-        n_at.append(n_next)
-        ca_at.append(ca_next)
-        c_at.append(c_next)
-
-    residues = []
+        xyz[i, 0] = place_atom(xyz[i - 1, 0], xyz[i - 1, 1], xyz[i - 1, 2],
+                               BOND_C_N, ang_ca_c_n, psis[i - 1])
+        xyz[i, 1] = place_atom(xyz[i - 1, 1], xyz[i - 1, 2], xyz[i, 0],
+                               BOND_N_CA, ang_c_n_ca, omegas[i])
+        xyz[i, 2] = place_atom(xyz[i - 1, 2], xyz[i, 0], xyz[i, 1],
+                               BOND_CA_C, ang_n_ca_c, phis[i])
     for i in range(n_res):
-        o = place_atom(n_at[i], ca_at[i], c_at[i], BOND_C_O, ang_ca_c_o, psis[i] + math.pi)
-        residues.append(Residue(
-            aa=sequence[i],
-            n=n_at[i].copy(), ca=ca_at[i].copy(), c=c_at[i].copy(), o=o,
-            seq_index=i + 1,
-        ))
-    return ProteinBackbone(residues, chain_id)
+        xyz[i, 3] = place_atom(xyz[i, 0], xyz[i, 1], xyz[i, 2], BOND_C_O, ang_ca_c_o, psis[i] + math.pi)
+    return ProteinBackbone(xyz, np.ones((n_res, 4), dtype=bool), sequence,
+                           np.arange(1, n_res + 1), chain_id)
 
 
 def ideal_helix(n_res, sequence=None) -> ProteinBackbone:

@@ -189,19 +189,28 @@ class AdamW:
 def clip_gradients(params: dict, max_norm: float) -> float:
     """Scale all gradients so the global norm is at most max_norm.
 
-    Returns the pre-clip global norm.
+    Returns the pre-clip global norm. A norm that is not finite leaves
+    the gradients as they are.
     """
     sq = 0.0
     for p in params.values():
         if p.grad is not None:
             sq += float(np.sum(p.grad * p.grad))
     norm = math.sqrt(sq)
-    if max_norm > 0 and norm > max_norm:
+    if max_norm > 0 and max_norm < norm < math.inf:
         scale = max_norm / norm
         for p in params.values():
             if p.grad is not None:
                 p.grad *= scale
     return norm
+
+
+def _non_finite_gradient(params: dict, step: int) -> str:
+    name = next((k for k, p in params.items()
+                 if p.grad is not None and not np.all(np.isfinite(p.grad))), None)
+    if name is None:
+        return f"training diverged at step {step}: the gradient norm overflowed"
+    return f"training diverged at step {step}: gradient of {name!r} is not finite"
 
 
 @dataclass
@@ -318,7 +327,8 @@ def train_toy(corpus, cfg: TrainConfig, model_cfg: ModelConfig | None = None,
                 if not np.isfinite(loss.data):
                     raise TrainingDiverged(step)
                 ad.backward(loss)  # grads accumulate across the batch
-            clip_gradients(params, cfg.grad_clip_norm)
+            if not math.isfinite(clip_gradients(params, cfg.grad_clip_norm)):
+                raise TrainingDiverged(step, _non_finite_gradient(params, step))
             opt.step(lr=cosine_warmup_lr(step, cfg, total_steps))
 
             if step % cfg.eval_every == 0 or step == total_steps:

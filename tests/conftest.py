@@ -49,7 +49,7 @@ def ala_gly_pdb():
 
 @pytest.fixture
 def missing_ca_pdb():
-    """Residue 2 lacks a CA record and must be dropped."""
+    """The second residue lacks a CA record and must be dropped."""
     lines = []
     lines += residue_lines("ALA", "A", 1, (0.0, 0.0, 0.0), start_serial=1)
     lines += residue_lines("GLY", "A", 2, (3.8, 0.0, 0.0), start_serial=5, skip=("CA",))

@@ -198,31 +198,30 @@ class TestOpGradients:
 
         assert check_gradient(f, {"x": x, "w": w, "b": b}, eps=1e-5) < 1e-6
 
-    def test_pair_linear_both_orders(self):
+    def test_pair_linear_gradient(self):
         neighbors = np.array([[1, 2], [0, 2], [1, 0], [2, 1]])
-        for order in [("self", "edge", "nbr"), ("self", "nbr", "edge")]:
-            h = param((4, 3), seed=28)
-            e = param((4, 2, 5), seed=29)
-            w = param((11, 2), seed=30)
-            b = param((2,), seed=31)
-            wmix = rand((4, 2, 2), seed=32)
+        h = param((4, 3), seed=28)
+        e = param((4, 2, 5), seed=29)
+        w = param((11, 2), seed=30)
+        b = param((2,), seed=31)
+        wmix = rand((4, 2, 2), seed=32)
 
-            def f():
-                out = ad.pair_linear(h, e, neighbors, w, b, order=order)
-                return ad.tsum(ad.mul(out, wmix))
+        def f():
+            out = ad.pair_linear(h, e, neighbors, w, b)
+            return ad.tsum(ad.mul(out, wmix))
 
-            err = check_gradient(f, {"h": h, "e": e, "w": w, "b": b}, eps=1e-6)
-            assert err < 1e-6, order
+        err = check_gradient(f, {"h": h, "e": e, "w": w, "b": b}, eps=1e-6)
+        assert err < 1e-6
 
     def test_pair_linear_matches_concat_path(self):
         neighbors = np.array([[1, 2], [0, 2], [1, 0], [2, 1]])
         h = param((4, 3), seed=33)
         e = param((4, 2, 5), seed=34)
         w = param((11, 2), seed=35)
-        fused = ad.pair_linear(h, e, neighbors, w, order=("self", "edge", "nbr"))
+        fused = ad.pair_linear(h, e, neighbors, w)
         h_i = ad.take_rows(h, np.repeat(np.arange(4)[:, None], 2, 1))
         h_j = ad.take_rows(h, neighbors)
-        explicit = ad.linear(ad.concat([h_i, e, h_j], axis=2), w)
+        explicit = ad.linear(ad.concat([h_i, h_j, e], axis=2), w)
         assert np.max(np.abs(fused.data - explicit.data)) < 1e-12
 
     def test_edge_scores_and_combine(self):

@@ -31,9 +31,9 @@ def pdb_file(tmp_path):
     backbone = random_backbone(51, 14)
     text = []
     serial = 1
-    for i, res in enumerate(backbone.residues, start=1):
+    for i, atoms in enumerate(backbone.coords(), start=1):
         from conftest import atom_line
-        for name, xyz in (("N", res.n), ("CA", res.ca), ("C", res.c), ("O", res.o)):
+        for name, xyz in zip(("N", "CA", "C", "O"), atoms):
             text.append(atom_line(serial, name, "ALA", "A", i, *xyz))
             serial += 1
     path = tmp_path / "toy.pdb"
@@ -78,8 +78,8 @@ class TestFeaturize:
         moved = apply_rigid_transform(backbone, rot, np.array([2.0, 1.0, -4.0]))
         lines = []
         serial = 1
-        for i, res in enumerate(moved.residues, start=1):
-            for name, xyz in (("N", res.n), ("CA", res.ca), ("C", res.c), ("O", res.o)):
+        for i, atoms in enumerate(moved.coords(), start=1):
+            for name, xyz in zip(("N", "CA", "C", "O"), atoms):
                 lines.append(atom_line(serial, name, "ALA", "A", i, *xyz))
                 serial += 1
         rot_pdb = tmp_path / "rot.pdb"
@@ -269,8 +269,8 @@ class TestAggregate:
         backbones = [random_backbone(70 + i, 10 + i) for i in range(2)]
         for idx, backbone in enumerate(backbones):
             lines, serial = [], 1
-            for i, res in enumerate(backbone.residues, start=1):
-                for name, xyz in (("N", res.n), ("CA", res.ca), ("C", res.c), ("O", res.o)):
+            for i, atoms in enumerate(backbone.coords(), start=1):
+                for name, xyz in zip(("N", "CA", "C", "O"), atoms):
                     lines.append(atom_line(serial, name, "ALA", "A", i, *xyz))
                     serial += 1
             (dataset / f"p{idx}.pdb").write_text("\n".join(lines) + "\n")

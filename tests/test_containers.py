@@ -33,8 +33,9 @@ FEATURES = FeatureConfig(k=6, rbf_count=4)
 
 def _backbone():
     backbone = random_backbone(7, 11)
-    backbone.residues[3] = dataclasses.replace(backbone.residues[3], imputed=frozenset({"O", "N"}))
-    return backbone
+    present = backbone.present.copy()
+    present[3, [0, 3]] = False  # N and O marked imputed, coordinates left as they are
+    return dataclasses.replace(backbone, present=present)
 
 
 def _via_file(write):

@@ -26,8 +26,10 @@ from invfold.encoder import (
     symmetrize_edges,
 )
 from invfold.errors import IsolatedNode
+from invfold.geometry import FeatureConfig, build_knn_graph
 from invfold.nn import MlpBlock
 from invfold.rng import RandomStream
+from invfold.synthetic import random_backbone
 
 
 def rand(shape, seed, scale=1.0):
@@ -331,15 +333,17 @@ class TestEncoderStack:
             assert np.max(np.abs(a - b)) < 1e-6
 
     def test_symmetrize_edges_averages_mutual_pairs(self, tiny_setup):
-        _, neighbors, _, e, _, _ = tiny_setup
-        out = symmetrize_edges(Tensor(e), neighbors).data
-        n, k = neighbors.shape
-        for i in range(n):
-            for m, j in enumerate(neighbors[i]):
-                back = np.nonzero(neighbors[j] == i)[0]
-                if back.size:
-                    expect = 0.5 * (e[i, m] + e[j, back[0]])
-                    assert np.max(np.abs(out[i, m] - expect)) < 1e-12
-                    assert np.max(np.abs(out[j, back[0]] - expect)) < 1e-12
-                else:
-                    assert np.array_equal(out[i, m], e[i, m])
+        _, tiny_neighbors, _, tiny_e, _, _ = tiny_setup
+        knn = build_knn_graph(random_backbone(8, 300), FeatureConfig(k=48, rbf_count=4)).neighbors
+        for neighbors, e in ((tiny_neighbors, tiny_e), (knn, rand((300, 48, 3), seed=102))):
+            out = symmetrize_edges(Tensor(e), neighbors).data
+            n, k = neighbors.shape
+            for i in range(n):
+                for m, j in enumerate(neighbors[i]):
+                    back = np.nonzero(neighbors[j] == i)[0]
+                    if back.size:
+                        expect = 0.5 * (e[i, m] + e[j, back[0]])
+                        assert np.max(np.abs(out[i, m] - expect)) < 1e-12
+                        assert np.max(np.abs(out[j, back[0]] - expect)) < 1e-12
+                    else:
+                        assert np.array_equal(out[i, m], e[i, m])

@@ -6,6 +6,7 @@ conversion, and a brute-force neighbor sort.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,12 +22,11 @@ from invfold.geometry import (
     dihedral_angles,
     local_frames,
     rbf_encode,
-    relative_orientation,
     rotation_to_quaternion,
     serialize_graph,
 )
 from invfold.rng import RandomStream
-from invfold.structure_io import ProteinBackbone, Residue, parse_pdb
+from invfold.structure_io import ProteinBackbone, parse_pdb
 from invfold.synthetic import build_chain, ideal_helix, random_backbone, random_rotation
 
 from conftest import residue_lines
@@ -43,35 +43,68 @@ def torsion_oracle(p0, p1, p2, p3):
     return math.atan2(np.dot(np.cross(b1, v), w), np.dot(v, w))
 
 
+def backbone_of(atoms, present=None):
+    """An all-alanine chain A backbone from (n, 4, 3) N, CA, C, O coordinates."""
+    atoms = np.asarray(atoms, dtype=np.float64)
+    n = len(atoms)
+    present = np.ones((n, 4), dtype=bool) if present is None else present
+    return ProteinBackbone(atoms, present, "A" * n, np.arange(1, n + 1), "A")
+
+
 class TestLocalFrames:
     def test_orthonormal_right_handed(self, small_backbone):
-        for f in local_frames(small_backbone):
-            assert np.max(np.abs(f.basis @ f.basis.T - np.eye(3))) < 1e-8
-            assert abs(np.linalg.det(f.basis) - 1.0) < 1e-8
+        basis, valid = local_frames(small_backbone)
+        assert basis.shape == (len(small_backbone), 3, 3) and valid.all()
+        for b in basis:
+            assert np.max(np.abs(b @ b.T - np.eye(3))) < 1e-8
+            assert abs(np.linalg.det(b) - 1.0) < 1e-8
 
     def test_equivariance_of_relative_rotation(self, small_backbone):
         from invfold.structure_io import apply_rigid_transform
         r = random_rotation(RandomStream(11, "r"))
         moved = apply_rigid_transform(small_backbone, r, np.array([1.0, 2.0, 3.0]))
-        f0 = local_frames(small_backbone)
-        f1 = local_frames(moved)
+        f0, _ = local_frames(small_backbone)
+        f1, _ = local_frames(moved)
         for i, j in [(0, 1), (2, 5), (7, 3)]:
-            rel0 = f0[i].basis @ f0[j].basis.T
-            rel1 = f1[i].basis @ f1[j].basis.T
+            rel0 = f0[i] @ f0[j].T
+            rel1 = f1[i] @ f1[j].T
             assert np.max(np.abs(rel0 - rel1)) < 1e-10
 
     def test_collinear_raises(self):
-        res = Residue(aa="A", n=np.array([2.0, 0, 0]), ca=np.array([0.0, 0, 0]),
-                      c=np.array([1.0, 0, 0]), o=np.array([1.0, 1, 0]), seq_index=1)
+        atoms = [[[2.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0], [1.0, 1, 0]]]
         with pytest.raises(DegenerateFrame) as err:
-            local_frames(ProteinBackbone([res], "A"))
+            local_frames(backbone_of(atoms))
         assert err.value.residue_index == 0
+
+    def test_first_degenerate_residue_is_reported(self):
+        atoms = random_backbone(4, 4).coords().copy()
+        atoms[2, 0] = 2 * atoms[2, 1] - atoms[2, 2]   # N on the CA->C line
+        atoms[3, 2] = atoms[3, 1]                      # C on CA
+        with pytest.raises(DegenerateFrame) as err:
+            local_frames(backbone_of(atoms))
+        assert err.value.residue_index == 2
 
     def test_imputed_atoms_give_invalid_frame(self):
         lines = residue_lines("ALA", "A", 1, (0, 0, 0), skip=("N",))
         b = parse_pdb("\n".join(lines), "A")
-        frames = local_frames(b)
-        assert not frames[0].valid
+        basis, valid = local_frames(b)
+        assert not valid[0]
+        assert np.array_equal(basis[0], np.eye(3))
+
+    def test_imputed_n_mid_chain_featurizes_cleanly(self):
+        b = random_backbone(6, 9)
+        atoms, present = b.coords().copy(), b.present.copy()
+        atoms[4, 0], present[4, 0] = atoms[4, 1], False   # N imputed at CA, as the parser does
+        cfg = FeatureConfig(k=8, rbf_count=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = build_knn_graph(backbone_of(atoms, present), cfg)
+        assert np.all(np.isfinite(g.node_feats)) and np.all(np.isfinite(g.edge_feats))
+        fam = next(f for f in g.edge_layout if f["family"] == "orientation")
+        orient = g.edge_feats[..., fam["offset"]:fam["offset"] + fam["width"]]
+        touches = (np.arange(9)[:, None] == 4) | (g.neighbors == 4)
+        assert np.all(orient[touches] == 0.0)
+        assert np.all(np.linalg.norm(orient[~touches], axis=-1) > 0.5)
 
 
 class TestDihedrals:
@@ -141,28 +174,29 @@ class TestRbf:
         assert np.all(enc > 0.0) and np.all(enc <= 1.0)
 
 
+def relative_quaternion(basis_i, basis_j):
+    """The orientation feature of the edge j -> i, from the two bases."""
+    return rotation_to_quaternion(basis_i @ basis_j.T)
+
+
 class TestRelativeOrientation:
     def test_identity(self, small_backbone):
-        f = local_frames(small_backbone)
-        q = relative_orientation(f[0], f[0])
+        basis, _ = local_frames(small_backbone)
+        q = relative_quaternion(basis[0], basis[0])
         assert np.allclose(q, [1.0, 0, 0, 0], atol=1e-12)
 
     def test_ninety_about_z(self, small_backbone):
-        from invfold.geometry import LocalFrame
-        f_i = local_frames(small_backbone)[0]
-        rz = np.array([[0.0, -1.0, 0], [1.0, 0.0, 0], [0, 0, 1.0]])
-        axis_z = f_i.basis[2]
+        basis_i = local_frames(small_backbone)[0][0]
+        axis_z = basis_i[2]
         # rotate frame i's axes by 90 degrees about its own z axis
         rot = Rotation.from_rotvec(axis_z * (math.pi / 2)).as_matrix()
-        f_j = LocalFrame(f_i.origin, f_i.basis @ rot.T)
-        q = relative_orientation(f_i, f_j)
+        q = relative_quaternion(basis_i, basis_i @ rot.T)
         assert np.allclose(q, [math.sqrt(2) / 2, 0, 0, math.sqrt(2) / 2], atol=1e-9)
-        del rz
 
     def test_swap_conjugates(self, small_backbone):
-        f = local_frames(small_backbone)
-        q = relative_orientation(f[0], f[1])
-        qc = relative_orientation(f[1], f[0])
+        basis, _ = local_frames(small_backbone)
+        q = relative_quaternion(basis[0], basis[1])
+        qc = relative_quaternion(basis[1], basis[0])
         assert abs(q[0] - qc[0]) < 1e-12
         assert np.allclose(q[1:], -qc[1:], atol=1e-12)
 
@@ -203,7 +237,7 @@ class TestKnnGraph:
     def test_matches_bruteforce_sort(self):
         b = random_backbone(5, 20)
         g = build_knn_graph(b, FeatureConfig(k=6, rbf_count=4))
-        ca = b.ca_coords()
+        ca = b.coords()[:, 1]
         for i in range(20):
             d = np.linalg.norm(ca - ca[i], axis=1)
             ranked = sorted((dist, j) for j, dist in enumerate(d) if j != i)
@@ -212,13 +246,9 @@ class TestKnnGraph:
 
     def test_tie_break_lower_index(self):
         # residues 1 and 2 equidistant from residue 0
-        def res(idx, x, y):
-            return Residue(aa="A", n=np.array([x, y, 0.0]),
-                           ca=np.array([x, y, 0.0]) + np.array([0.3, 0, 0]),
-                           c=np.array([x, y, 0.0]) + np.array([0.5, 0.4, 0]),
-                           o=np.array([x, y, 0.0]) + np.array([0.2, 0.8, 0]),
-                           seq_index=idx)
-        b = ProteinBackbone([res(1, 0, 0), res(2, 4, 0), res(3, -4, 0), res(4, 11, 0)], "A")
+        offsets = np.array([[0.0, 0, 0], [0.3, 0, 0], [0.5, 0.4, 0], [0.2, 0.8, 0]])  # N, CA, C, O
+        bases = np.array([[0.0, 0, 0], [4, 0, 0], [-4, 0, 0], [11, 0, 0]])
+        b = backbone_of(bases[:, None, :] + offsets)
         g = build_knn_graph(b, FeatureConfig(k=2, rbf_count=4))
         assert g.neighbors[0].tolist() == [1, 2]
 

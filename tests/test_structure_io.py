@@ -12,6 +12,7 @@ from invfold.errors import (
 )
 from invfold.rng import RandomStream
 from invfold.structure_io import (
+    ProteinBackbone,
     apply_rigid_transform,
     backbones_equal,
     deserialize_backbone,
@@ -32,11 +33,11 @@ class TestParse:
         assert len(b) == 2
         assert b.sequence == "AG"
         # expected values are the literal coordinates written into the fixture
-        assert np.allclose(b.residues[0].n, [0.0, 0.0, 0.0])
-        assert np.allclose(b.residues[0].ca, [1.46, 0.0, 0.0], atol=1e-6)
-        assert np.allclose(b.residues[1].ca, [3.8 + 1.46, 0.0, 0.0], atol=1e-6)
-        assert b.residues[0].seq_index == 1
-        assert not b.residues[0].imputed
+        assert np.allclose(b.coords()[0, 0], [0.0, 0.0, 0.0])
+        assert np.allclose(b.coords()[0, 1], [1.46, 0.0, 0.0], atol=1e-6)
+        assert np.allclose(b.coords()[1, 1], [3.8 + 1.46, 0.0, 0.0], atol=1e-6)
+        assert b.seq_index[0] == 1
+        assert b.present[0].all()
 
     def test_other_chain(self, ala_gly_pdb):
         b = parse_pdb(ala_gly_pdb, "B")
@@ -88,7 +89,7 @@ class TestParse:
         lines = residue_lines("ALA", "A", 1, (0, 0, 0))
         shifted = atom_line(9, "CA", "ALA", "A", 1, 5.0, 5.0, 5.0, altloc="B")
         b = parse_pdb("\n".join([shifted] + lines), "A")
-        assert np.allclose(b.residues[0].ca, [1.46, 0.0, 0.0], atol=1e-6)
+        assert np.allclose(b.coords()[0, 1], [1.46, 0.0, 0.0], atol=1e-6)
 
     def test_insertion_code_skipped(self):
         lines = residue_lines("ALA", "A", 1, (0, 0, 0))
@@ -100,9 +101,8 @@ class TestParse:
     def test_missing_n_imputed(self):
         lines = residue_lines("ALA", "A", 1, (0, 0, 0), skip=("N",))
         b = parse_pdb("\n".join(lines), "A")
-        res = b.residues[0]
-        assert res.imputed == frozenset({"N"})
-        assert np.array_equal(res.n, res.ca)
+        assert b.present[0].tolist() == [False, True, True, True]
+        assert np.array_equal(b.coords()[0, 0], b.coords()[0, 1])
 
     def test_atom_order_within_residue_is_irrelevant(self, ala_gly_pdb):
         lines = [ln for ln in ala_gly_pdb.splitlines() if ln.startswith("ATOM")]
@@ -110,6 +110,41 @@ class TestParse:
         b1 = parse_pdb(ala_gly_pdb, "A")
         b2 = parse_pdb("\n".join(shuffled), "A")
         assert backbones_equal(b1, b2)
+
+
+class TestBackboneArrays:
+    def test_arrays_are_read_only(self, small_backbone):
+        for array in (small_backbone.atoms, small_backbone.present, small_backbone.seq_index):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_caller_arrays_are_copied(self):
+        atoms = np.zeros((2, 4, 3))
+        b = ProteinBackbone(atoms, np.ones((2, 4), dtype=bool), "AG", np.array([1, 2]), "A")
+        atoms[0, 0, 0] = 5.0
+        assert b.coords()[0, 0, 0] == 0.0 and atoms.flags.writeable
+
+    @pytest.mark.parametrize("field,value", [
+        ("atoms", np.zeros((2, 3, 3))),
+        ("atoms", np.zeros((2, 4, 3), dtype=np.float32)),
+        ("present", np.ones((3, 4), dtype=bool)),
+        ("present", np.ones((2, 4), dtype=np.int64)),
+        ("present", np.array([[True, False, True, True]] * 2)),   # CA is never imputed
+        ("sequence", "A"),
+        ("seq_index", np.array([1.0, 2.0])),
+        ("seq_index", np.array([1, 2, 3])),
+        ("chain_id", 7),
+    ])
+    def test_mismatch_raises(self, field, value):
+        fields = {"atoms": np.zeros((2, 4, 3)), "present": np.ones((2, 4), dtype=bool),
+                  "sequence": "AG", "seq_index": np.array([1, 2]), "chain_id": "A"}
+        fields[field] = value
+        with pytest.raises(InvalidParameter):
+            ProteinBackbone(**fields)
+
+    def test_with_coords_shape_checked(self, small_backbone):
+        with pytest.raises(InvalidParameter):
+            small_backbone.with_coords(np.zeros((3, 4, 3)))
 
 
 class TestRigidTransform:
@@ -182,7 +217,7 @@ class TestContainer:
         lines = residue_lines("ALA", "A", 1, (0, 0, 0), skip=("O",))
         b = parse_pdb("\n".join(lines), "A")
         again = deserialize_backbone(serialize_backbone(b))
-        assert again.residues[0].imputed == frozenset({"O"})
+        assert again.present[0].tolist() == [True, True, True, False]
 
     def test_serialize_is_idempotent_after_one_quantization(self):
         b = random_backbone(3, 9)  # arbitrary float64 coordinates
@@ -196,6 +231,21 @@ class TestContainer:
         path = tmp_path / "bb.ifb"
         write_backbone(b, path)
         assert backbones_equal(read_backbone(path), b)
+
+    @pytest.mark.parametrize("field,value", [
+        ("aa", "AG"), ("aa", 5), ("imputed", ["CA"]), ("imputed", ["Q"]), ("imputed", 3),
+        ("seq_index", "1"), ("seq_index", 1.5), ("seq_index", 2**70),
+    ])
+    def test_malformed_residue_fields_raise_parse_error(self, ala_gly_pdb, field, value):
+        import json
+        import struct
+        data = serialize_backbone(parse_pdb(ala_gly_pdb, "A"))
+        (hlen,) = struct.unpack_from("<I", data, 4)
+        header = json.loads(data[8:8 + hlen])
+        header["residues"][1][field] = value
+        head = json.dumps(header).encode()
+        with pytest.raises(ParseError):
+            deserialize_backbone(data[:4] + struct.pack("<I", len(head)) + head + data[8 + hlen:])
 
     def test_bad_magic(self):
         with pytest.raises(ParseError):

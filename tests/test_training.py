@@ -7,7 +7,7 @@ import pytest
 
 from invfold import autodiff as ad
 from invfold.autodiff import Tensor
-from invfold.errors import EmptyLoss, InvalidParameter
+from invfold.errors import EmptyLoss, InvalidParameter, TrainingDiverged
 from invfold.recycling import ModelConfig, SequenceDistribution
 from invfold.rng import RandomStream
 from invfold.structure_io import AA_INDEX
@@ -157,6 +157,13 @@ class TestClip:
         assert p.grad[0] / q.grad[1] == pytest.approx(0.75)
 
 
+    def test_non_finite_norm_leaves_gradients(self):
+        p = Tensor(np.zeros(2), requires_grad=True)
+        p.grad = np.array([np.inf, 3.0])
+        assert clip_gradients({"p": p}, 1.0) == math.inf
+        assert p.grad[1] == 3.0
+
+
 class TestAdamW:
     def test_single_step_against_reference(self):
         w0 = np.array([1.0, -2.0])
@@ -233,6 +240,31 @@ class TestTrainToy:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,step,stage,loss,ppl,recovery,lr"
         assert len(lines) > 1
+
+    def test_non_finite_gradient_stops_before_the_update(self, monkeypatch, tiny_cfg, tiny_model_cfg):
+        from invfold import training
+        fc, mc = tiny_model_cfg
+        corpus = toy_corpus(5, lengths=(12, 13))
+        seen = {}
+        real_clip = training.clip_gradients
+
+        def clip_with_nan(params, max_norm):
+            seen["calls"] = seen.get("calls", 0) + 1
+            if seen["calls"] == 2:
+                names = [k for k, p in params.items() if p.grad is not None]
+                seen["first"], seen["later"] = names[2], names[5]
+                seen["params"], seen["before"] = params, {k: p.data.copy() for k, p in params.items()}
+                params[names[5]].grad.flat[0] = np.inf
+                params[names[2]].grad.flat[-1] = np.nan
+            return real_clip(params, max_norm)
+
+        monkeypatch.setattr(training, "clip_gradients", clip_with_nan)
+        with pytest.raises(TrainingDiverged) as err:
+            train_toy(corpus, tiny_cfg, model_cfg=mc, feature_cfg=fc)
+        assert err.value.step == 2
+        assert repr(seen["first"]) in str(err.value) and repr(seen["later"]) not in str(err.value)
+        for name, data in seen["before"].items():
+            assert np.array_equal(seen["params"][name].data, data)
 
     def test_empty_corpus(self, tiny_cfg):
         with pytest.raises(InvalidParameter):
