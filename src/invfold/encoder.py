@@ -184,9 +184,12 @@ def global_context_bridge(h_local: Tensor, params: BridgeParams,
     vals = params.w_val(h_local)
     g_pool = ad.tsum(ad.mul(alpha, vals), axis=0, keepdims=True)        # (1, d)
     g_rows = ad.tile_row(g_pool, n)                                     # (n, d)
-    u = params.mlp_up(ad.concat([h_local, g_rows], axis=1), training=training, stream=stream)
-    z = ad.mul(u, ad.sigmoid(params.mlp_in(h_local, training=training, stream=stream)))
-    gate = ad.sigmoid(params.mlp_out(z, training=training, stream=stream))
+    # each MLP draws its dropout masks from its own child stream
+    s_up, s_in, s_out = (stream.child(name) if stream is not None else None
+                         for name in ("up", "in", "out"))
+    u = params.mlp_up(ad.concat([h_local, g_rows], axis=1), training=training, stream=s_up)
+    z = ad.mul(u, ad.sigmoid(params.mlp_in(h_local, training=training, stream=s_in)))
+    gate = ad.sigmoid(params.mlp_out(z, training=training, stream=s_out))
     return ad.mul(h_local, gate)
 
 

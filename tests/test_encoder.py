@@ -229,6 +229,20 @@ class TestBridgeOracle:
 
         assert check_gradient(f, weights, eps=1e-5, samples_per_param=6, seed=3) < 1e-4
 
+    def test_each_mlp_draws_its_own_dropout_mask(self, tiny_setup, monkeypatch):
+        stream, _, h, _, d, _ = tiny_setup
+        params = BridgeParams(d, stream.child("bridge6"), dropout=0.5)
+        names = []
+        real_dropout = ad.dropout
+
+        def recording_dropout(x, rate, stream, training):
+            names.append(stream.name)
+            return real_dropout(x, rate, stream, training)
+
+        monkeypatch.setattr(ad, "dropout", recording_dropout)
+        global_context_bridge(Tensor(h), params, training=True, stream=RandomStream(4, "run"))
+        assert len(names) == 3 and len(set(names)) == 3
+
     def test_scalar_pool_mode(self, tiny_setup):
         stream, _, h, _, d, _ = tiny_setup
         params = BridgeParams(d, stream.child("bridge4"), pool_mode="scalar")
