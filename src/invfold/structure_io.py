@@ -99,10 +99,7 @@ class ProteinBackbone:
 
     def with_coords(self, coords: np.ndarray) -> "ProteinBackbone":
         """Copy with coordinates replaced from an (n, 4, 3) array."""
-        coords = np.asarray(coords, dtype=np.float64)
-        if coords.shape != (len(self), 4, 3):
-            raise InvalidParameter(f"expected coords of shape {(len(self), 4, 3)}, got {coords.shape}")
-        return replace(self, atoms=coords)
+        return replace(self, atoms=np.asarray(coords, dtype=np.float64))
 
 
 def parse_pdb(text: str, chain: str) -> ProteinBackbone:

@@ -65,9 +65,9 @@ def build_chain(phis, psis, omegas, sequence=None, chain_id="A") -> ProteinBackb
     ang_ca_c_o = math.radians(ANGLE_CA_C_O)
 
     xyz = np.zeros((n_res, 4, 3))
-    xyz[0, 1] = (BOND_N_CA, 0.0, 0.0)
-    xyz[0, 2] = xyz[0, 1] + BOND_CA_C * np.array([math.cos(math.pi - ang_n_ca_c),
-                                                 math.sin(math.pi - ang_n_ca_c), 0.0])
+    xyz[:1, 1] = (BOND_N_CA, 0.0, 0.0)  # slices, so an empty chain stays empty
+    xyz[:1, 2] = xyz[:1, 1] + BOND_CA_C * np.array([math.cos(math.pi - ang_n_ca_c),
+                                                   math.sin(math.pi - ang_n_ca_c), 0.0])
     for i in range(1, n_res):
         xyz[i, 0] = place_atom(xyz[i - 1, 0], xyz[i - 1, 1], xyz[i - 1, 2],
                                BOND_C_N, ang_ca_c_n, psis[i - 1])
