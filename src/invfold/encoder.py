@@ -207,9 +207,8 @@ def symmetrize_edges(e: Tensor, neighbors: np.ndarray) -> Tensor:
     order = np.argsort(keys, kind="stable")
     ranked = keys[order]
     mirror = (senders * n + receivers).ravel()
-    pos = np.searchsorted(ranked, mirror, side="right") - 1
-    found = (pos >= 0) & (ranked[np.maximum(pos, 0)] == mirror)
-    partner = np.where(found, order[np.maximum(pos, 0)], np.arange(n * k))
+    pos = np.maximum(np.searchsorted(ranked, mirror, side="right") - 1, 0)
+    partner = np.where(ranked[pos] == mirror, order[pos], np.arange(n * k))
     flat = ad.reshape(e, (n * k, d))
     mirrored = ad.take_rows(flat, partner)
     return ad.reshape(ad.mul(ad.add(flat, mirrored), 0.5), (n, k, d))
