@@ -1,10 +1,23 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-A small tape: every operation returns a Tensor holding its inputs and a
-vector-Jacobian closure per input. `backward` walks the graph once in
-reverse topological order and accumulates gradients into leaf tensors
-created with requires_grad=True. 64-bit is the default dtype; training
-and all gradient checks run in 64-bit, inference may cast to 32-bit.
+A small tape: an operation on an input that needs a gradient returns a
+Tensor with an op node, which holds one vector-Jacobian closure (VJP) per
+such input and a link to that input's own node (or to the input itself
+when it is a leaf created with requires_grad=True). The tape holds no op
+outputs: an intermediate array lives on only while the caller keeps its
+Tensor or a VJP reads it. VJPs close over exactly what they read (the
+operand arrays of a product, a softmax's output, a dropout's boolean
+mask, only a shape where a shape is enough), and `gelu` keeps only its
+input and recomputes the rest. `tape_stats` counts the nodes and the
+bytes a graph holds.
+
+`backward` walks the graph once in reverse topological order and
+accumulates gradients into the leaves. It consumes the graph: each node
+drops its VJPs once they have run, so memory falls as backward proceeds,
+and a later backward that reaches a consumed node raises InvalidBackward
+instead of returning zero gradients. 64-bit is the default dtype;
+training and all gradient checks run in 64-bit, inference may cast to
+32-bit.
 
 Inference needs no tape: inside `with no_grad():` an operation records
 no parents, so every intermediate array is freed as soon as the caller
@@ -52,10 +65,23 @@ def _guard(data: np.ndarray, op: str) -> np.ndarray:
     return data
 
 
-class Tensor:
-    """Dense array plus the tape edges needed for reverse mode."""
+class _Node:
+    """One recorded op: (parent, vjp) pairs, one per input that needs a
+    gradient. A parent is the input's own node, or the input Tensor itself
+    when it is a leaf. `parents` becomes None once backward has run the
+    VJPs, which frees whatever they closed over."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_done", "name")
+    __slots__ = ("parents", "op")
+
+    def __init__(self, parents, op):
+        self.parents = parents
+        self.op = op
+
+
+class Tensor:
+    """Dense array plus, for an op output on the tape, its `_Node`."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_node", "name")
 
     def __init__(self, data, requires_grad=False, dtype=None, name=None):
         if dtype is None:
@@ -68,8 +94,7 @@ class Tensor:
             self.data = np.asarray(data, dtype=dtype)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._done = False
+        self._node = None
         self.name = name
 
     @property
@@ -145,10 +170,11 @@ def _make(data, parents, op: str) -> Tensor:
     out = Tensor(_guard(data, op))
     if not grad_enabled():
         return out
-    live = tuple((p, vjp) for p, vjp in parents if p.requires_grad)
+    live = tuple((p if p._node is None else p._node, vjp)
+                 for p, vjp in parents if p.requires_grad)
     if live:
         out.requires_grad = True
-        out._parents = live
+        out._node = _Node(live, op)
     return out
 
 
@@ -172,9 +198,10 @@ def add(a, b) -> Tensor:
     if isinstance(a, (int, float)):
         return add(b, a)
     a, b = as_tensor(a), as_tensor(b)
+    sa, sb = a.shape, b.shape
     return _make(
         a.data + b.data,
-        [(a, lambda g: _unbroadcast(g, a.shape)), (b, lambda g: _unbroadcast(g, b.shape))],
+        [(a, lambda g: _unbroadcast(g, sa)), (b, lambda g: _unbroadcast(g, sb))],
         "add",
     )
 
@@ -186,11 +213,13 @@ def mul(a, b) -> Tensor:
     if isinstance(a, (int, float)):
         return mul(b, a)
     a, b = as_tensor(a), as_tensor(b)
+    x, y = a.data, b.data
+    sa, sb = x.shape, y.shape
     return _make(
-        a.data * b.data,
+        x * y,
         [
-            (a, lambda g: _unbroadcast(g * b.data, a.shape)),
-            (b, lambda g: _unbroadcast(g * a.data, b.shape)),
+            (a, lambda g: _unbroadcast(g * y, sa)),
+            (b, lambda g: _unbroadcast(g * x, sb)),
         ],
         "mul",
     )
@@ -200,11 +229,13 @@ def div(a, b) -> Tensor:
     if isinstance(b, (int, float)):
         return mul(a, 1.0 / b)
     a, b = as_tensor(a), as_tensor(b)
+    x, y = a.data, b.data
+    sa, sb = x.shape, y.shape
     return _make(
-        a.data / b.data,
+        x / y,
         [
-            (a, lambda g: _unbroadcast(g / b.data, a.shape)),
-            (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
+            (a, lambda g: _unbroadcast(g / y, sa)),
+            (b, lambda g: _unbroadcast(-g * x / (y * y), sb)),
         ],
         "div",
     )
@@ -219,13 +250,15 @@ def matmul(a, b) -> Tensor:
     """a @ b; axes before the last two are batch axes and broadcast as in
     numpy, and the gradient is summed back over any broadcast."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
+    x, y = a.data, b.data
+    sa, sb = x.shape, y.shape
+    if x.ndim < 2 or y.ndim < 2:
         raise NumericError("matmul expects operands with at least 2 dimensions")
     return _make(
-        a.data @ b.data,
+        x @ y,
         [
-            (a, lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)),
-            (b, lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)),
+            (a, lambda g: _unbroadcast(g @ np.swapaxes(y, -1, -2), sa)),
+            (b, lambda g: _unbroadcast(np.swapaxes(x, -1, -2) @ g, sb)),
         ],
         "matmul",
     )
@@ -241,19 +274,20 @@ def transpose(a, axes) -> Tensor:
 def linear(x, w, b=None) -> Tensor:
     """x @ w (+ b) with the leading axes of x folded for the GEMM."""
     x, w = as_tensor(x), as_tensor(w)
-    lead = x.shape[:-1]
-    x2 = x.data.reshape(-1, x.shape[-1])
-    out = x2 @ w.data
+    shape, wd = x.shape, w.data
+    d_out = wd.shape[1]
+    x2 = x.data.reshape(-1, shape[-1])
+    out = x2 @ wd
     if b is not None:
         b = as_tensor(b)
         out = out + b.data
     parents = [
-        (x, lambda g: (g.reshape(-1, w.shape[1]) @ w.data.T).reshape(x.shape)),
-        (w, lambda g: x2.T @ g.reshape(-1, w.shape[1])),
+        (x, lambda g: (g.reshape(-1, d_out) @ wd.T).reshape(shape)),
+        (w, lambda g: x2.T @ g.reshape(-1, d_out)),
     ]
     if b is not None:
-        parents.append((b, lambda g: g.reshape(-1, w.shape[1]).sum(axis=0)))
-    return _make(out.reshape(*lead, w.shape[1]), parents, "linear")
+        parents.append((b, lambda g: g.reshape(-1, d_out).sum(axis=0)))
+    return _make(out.reshape(*shape[:-1], d_out), parents, "linear")
 
 
 def pair_linear(h, e, neighbors, w, b=None) -> Tensor:
@@ -271,18 +305,19 @@ def pair_linear(h, e, neighbors, w, b=None) -> Tensor:
     """
     h, w = as_tensor(h), as_tensor(w)
     e = as_tensor(e)
-    n, d = h.shape
+    hd, wd = h.data, w.data
+    n, d = hd.shape
     _, k, d_e = e.shape
-    w_self, w_nbr, w_edge = w.data[:d], w.data[d:2 * d], w.data[2 * d:]
-    d_out = w.shape[1]
+    w_self, w_nbr, w_edge = wd[:d], wd[d:2 * d], wd[2 * d:]
+    d_out = wd.shape[1]
 
     def vjp_nodes_w(g):
-        gw = np.zeros_like(w.data)
-        gw[:d] = h.data.T @ g[0]
-        gw[d:2 * d] = h.data.T @ g[1]
+        gw = np.zeros_like(wd)
+        gw[:d] = hd.T @ g[0]
+        gw[d:2 * d] = hd.T @ g[1]
         return gw
 
-    nodes = _make(np.stack([h.data @ w_self, h.data @ w_nbr]), [
+    nodes = _make(np.stack([hd @ w_self, hd @ w_nbr]), [
         (h, lambda g: g[0] @ w_self.T + g[1] @ w_nbr.T),
         (w, vjp_nodes_w),
     ], "pair_linear")
@@ -292,7 +327,7 @@ def pair_linear(h, e, neighbors, w, b=None) -> Tensor:
     out = out + nodes.data[0][:, None, :] + nodes.data[1][neighbors]
 
     def vjp_edge_w(g):
-        gw = np.zeros_like(w.data)
+        gw = np.zeros_like(wd)
         gw[2 * d:] = e_flat.T @ g.reshape(-1, d_out)
         return gw
 
@@ -431,12 +466,13 @@ def tile_row(a, n: int) -> Tensor:
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
+    shape = a.shape
 
     def vjp(g):
         if axis is None:
-            return np.broadcast_to(g, a.shape).copy()
+            return np.broadcast_to(g, shape).copy()
         gg = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, a.shape).copy()
+        return np.broadcast_to(gg, shape).copy()
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), [(a, vjp)], "sum")
 
@@ -455,7 +491,8 @@ def exp(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    return _make(np.log(a.data), [(a, lambda g: g / a.data)], "log")
+    x = a.data
+    return _make(np.log(x), [(a, lambda g: g / x)], "log")
 
 
 def sigmoid(a) -> Tensor:
@@ -473,27 +510,31 @@ def tanh(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-    return _make(out, [(a, lambda g: g * (a.data > 0))], "relu")
+    x = a.data
+    return _make(np.maximum(x, 0.0), [(a, lambda g: g * (x > 0))], "relu")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def _gelu_parts(x):
+    x2 = x * x
+    return x2, np.tanh(x * (_GELU_C + (_GELU_C * 0.044715) * x2)), 0.5 * x
+
+
 def gelu(a) -> Tensor:
-    """tanh-approximation GELU."""
+    """tanh-approximation GELU. The tape keeps only the input; backward
+    recomputes the tanh from it (the same expressions, so the same bits)."""
     a = as_tensor(a)
     x = a.data
-    x2 = x * x
-    t = np.tanh(x * (_GELU_C + (_GELU_C * 0.044715) * x2))
-    half_x = 0.5 * x
-    out = half_x + half_x * t
+    _, t, half_x = _gelu_parts(x)
 
     def vjp(g):
+        x2, t, half_x = _gelu_parts(x)
         dinner = _GELU_C + (3.0 * _GELU_C * 0.044715) * x2
         return g * (0.5 + 0.5 * t + half_x * ((1.0 - t * t) * dinner))
 
-    return _make(out, [(a, vjp)], "gelu")
+    return _make(half_x + half_x * t, [(a, vjp)], "gelu")
 
 
 def softmax(a, axis=-1) -> Tensor:
@@ -515,28 +556,27 @@ def softmax(a, axis=-1) -> Tensor:
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis, then scale and shift."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    d = x.shape[-1]
+    gd, sb = gain.data, bias.shape
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
-    out = gain.data * xhat + bias.data
+    out = gd * xhat + bias.data
 
     def vjp_x(g):
-        dxhat = g * gain.data
+        dxhat = g * gd
         term1 = dxhat
         term2 = dxhat.mean(axis=-1, keepdims=True)
         term3 = xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         return inv * (term1 - term2 - term3)
 
     def vjp_gain(g):
-        return _unbroadcast(g * xhat, gain.shape)
+        return _unbroadcast(g * xhat, gd.shape)
 
     def vjp_bias(g):
-        return _unbroadcast(g, bias.shape)
+        return _unbroadcast(g, sb)
 
-    del d
     return _make(out, [(x, vjp_x), (gain, vjp_gain), (bias, vjp_bias)], "layer_norm")
 
 
@@ -547,53 +587,71 @@ def dropout(x, rate: float, stream: RandomStream | None, training: bool) -> Tens
         return x
     if not 0.0 <= rate < 1.0:
         raise NumericError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = stream.keep_mask(x.shape, rate) * (1.0 / (1.0 - rate))
-    return _make(x.data * keep, [(x, lambda g: g * keep)], "dropout")
+    # the tape keeps the boolean mask, not the float multiplier
+    mask, scale = stream.keep_mask(x.shape, rate), 1.0 / (1.0 - rate)
+    return _make(x.data * (mask * scale), [(x, lambda g: g * (mask * scale))], "dropout")
 
 
-def _topo_order(root: Tensor):
-    order, seen, stack = [], set(), [(root, False)]
+def _topo_order(start):
+    """Graph entries reachable from `start` (a node or a leaf), parents
+    before children. InvalidBackward if one was released by an earlier
+    backward."""
+    order, seen, stack = [], set(), [(start, False)]
     while stack:
-        node, expanded = stack.pop()
+        item, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(item)
             continue
-        if id(node) in seen:
+        if id(item) in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node._parents:
+        seen.add(id(item))
+        stack.append((item, True))
+        if isinstance(item, Tensor):
+            continue
+        if item.parents is None:
+            raise InvalidBackward(f"backward reached a {item.op} node that an earlier "
+                                  "backward consumed; build the graph again")
+        for parent, _ in item.parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
     return order
 
 
+def _start(root: Tensor):
+    return root if root._node is None else root._node
+
+
 def backward(root: Tensor) -> None:
     """Populate .grad for every requires_grad leaf reachable from root.
 
-    The root must be scalar; running backward twice on the same graph
-    raises InvalidBackward.
+    The root must be scalar. Backward consumes the graph: each node
+    drops its VJPs (and the arrays they hold) as soon as they have run,
+    so a second backward through any of its nodes raises InvalidBackward
+    before touching a gradient.
     """
     if root.size != 1:
         raise InvalidBackward(f"backward root must be scalar, got shape {root.shape}")
-    if root._done:
-        raise InvalidBackward("backward already ran on this graph")
-    root._done = True
     if not root.requires_grad:
         return
+    start = _start(root)
+    order = _topo_order(start)
 
     # grads hold [array, owned]; un-owned arrays may alias a child's
     # gradient (e.g. reshape views), so the first accumulation copies.
-    grads = {id(root): [np.ones_like(root.data), True]}
-    for node in reversed(_topo_order(root)):
-        entry = grads.pop(id(node), None)
+    grads = {id(start): [np.ones_like(root.data), True]}
+    while order:
+        item = order.pop()
+        entry = grads.pop(id(item), None)
+        if isinstance(item, Tensor):
+            if entry is not None:
+                g = entry[0]
+                item.grad = g.copy() if item.grad is None else item.grad + g
+            continue
+        parents, item.parents = item.parents, None
         if entry is None:
             continue
         g = entry[0]
-        if not node._parents:
-            node.grad = g.copy() if node.grad is None else node.grad + g
-            continue
-        for parent, vjp in node._parents:
+        for parent, vjp in parents:
             pg = vjp(g)
             key = id(parent)
             slot = grads.get(key)
@@ -604,6 +662,33 @@ def backward(root: Tensor) -> None:
             else:
                 slot[0] = slot[0] + pg
                 slot[1] = True
+
+
+def tape_stats(root: Tensor) -> tuple:
+    """(nodes, bytes) of the graph behind root: the entries backward would
+    visit (op nodes and leaves), and the bytes of every distinct base
+    array that the VJP closures reach, each counted once."""
+    if not root.requires_grad:
+        return 0, 0
+    order = _topo_order(_start(root))
+    stack = [vjp for item in order if not isinstance(item, Tensor) for _, vjp in item.parents]
+    seen, bases = set(), {}
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            bases[id(obj)] = obj.nbytes
+        elif isinstance(obj, Tensor):
+            stack.append(obj.data)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+    return len(order), sum(bases.values())
 
 
 def zero_grads(params) -> None:

@@ -13,7 +13,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameter
 from .geometry import FeatureConfig
 from .recycling import ModelConfig
 from .rng import GENERATOR_NAME
@@ -112,7 +112,12 @@ def config_from_dict(raw: dict) -> RunConfig:
         if not isinstance(values, dict):
             raise ConfigError(f"section {section!r} must be an object")
         kwargs[section] = _build_section(cls, values, section)
-    return RunConfig(**kwargs)
+    cfg = RunConfig(**kwargs)
+    try:  # the model's ranges, checked once here rather than when a command builds it
+        cfg.model_config()
+    except (InvalidParameter, TypeError) as exc:
+        raise ConfigError(f"invalid model settings: {exc}") from exc
+    return cfg
 
 
 def load_config(path=None) -> RunConfig:

@@ -16,6 +16,8 @@ import struct
 
 import numpy as np
 
+from .errors import InvalidParameter
+
 # The block dtypes each format defines (backbone, graph, embeddings, checkpoint, attention).
 DTYPES = {b"IFB1": ("<u8", "<f4"), b"IFG1": ("<i4", "<f4"), b"IFE1": ("<f4",),
           b"IFC1": ("<f8",), b"IFA1": ("<i4", "<f4")}
@@ -30,10 +32,11 @@ def pack(magic: bytes, header: dict, blocks) -> bytes:
 
 @contextlib.contextmanager
 def checked(error, what: str):
-    """Re-raise a malformed header's lookup, type or value failure as `error`."""
+    """Re-raise a malformed header's lookup, type or value failure, or a
+    record that rejects the values (InvalidParameter), as `error`."""
     try:
         yield
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError, InvalidParameter) as exc:
         raise error(f"{what}: malformed ({type(exc).__name__}: {exc})") from exc
 
 

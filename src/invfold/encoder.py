@@ -215,11 +215,12 @@ def symmetrize_edges(e: Tensor, neighbors: np.ndarray) -> Tensor:
 
 
 def encoder_layer(state: LayerState, params: LayerParams, training=False, stream=None,
-                  use_bridge=True, symmetric_edges=False):
+                  use_bridge=True, symmetric_edges=False, update_edges=True):
     """One block: attention -> edge refresh -> global gate, residual on h.
 
     Returns (new_state, alpha) where alpha is the head-averaged
-    pre-dropout attention matrix, shape (n, k').
+    pre-dropout attention matrix, shape (n, k'). With update_edges False
+    the edge refresh is skipped and the new state carries the input e.
     """
     child = stream.child(f"l{state.layer_index}") if stream is not None else None
     x = params.norm(state.h)
@@ -228,10 +229,12 @@ def encoder_layer(state: LayerState, params: LayerParams, training=False, stream
     if training and params.dropout > 0.0:
         h_local = ad.dropout(h_local, params.dropout, child.child("attn_drop"), training)
 
-    e_new = edge_update(x, state.e, state.neighbors, params.edge_mlp,
-                        training=training, stream=child.child("edge") if child else None)
-    if symmetric_edges:
-        e_new = symmetrize_edges(e_new, state.neighbors)
+    e_new = state.e
+    if update_edges:
+        e_new = edge_update(x, e_new, state.neighbors, params.edge_mlp,
+                            training=training, stream=child.child("edge") if child else None)
+        if symmetric_edges:
+            e_new = symmetrize_edges(e_new, state.neighbors)
 
     h_out = h_local
     if use_bridge:
@@ -276,15 +279,21 @@ def read_attention_dump(path):
 
 def encoder_stack(state: LayerState, params: StackParams, training=False, stream=None,
                   use_bridge=True, symmetric_edges=False, collect_states=False):
-    """Run every layer; returns (state, alphas) or (state, alphas, h_trace)."""
+    """Run every layer; returns (state, alphas) or (state, alphas, h_trace).
+
+    Nothing downstream reads the edge states the stack ends with, so the
+    last layer skips its edge refresh: the returned state's e is the last
+    layer's input.
+    """
     alphas = []
     trace = [state.h.data.copy()] if collect_states else None
     if symmetric_edges and params.depth > 0:
         state = LayerState(state.h, symmetrize_edges(state.e, state.neighbors),
                            state.neighbors, state.layer_index)
-    for layer in params.layers:
+    for i, layer in enumerate(params.layers):
         state, alpha = encoder_layer(state, layer, training=training, stream=stream,
-                                     use_bridge=use_bridge, symmetric_edges=symmetric_edges)
+                                     use_bridge=use_bridge, symmetric_edges=symmetric_edges,
+                                     update_edges=i < params.depth - 1)
         alphas.append(alpha)
         if collect_states:
             trace.append(state.h.data.copy())

@@ -22,6 +22,7 @@ imputed is zeroed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,8 +98,25 @@ class ResidueGraph:
     mask: np.ndarray = field(default=None)  # True where the residue counts toward the loss
 
     def __post_init__(self):
+        """InvalidParameter unless the arrays agree with n, k and the layouts."""
+        n, k = self.n, self.k
         if self.mask is None:
             self.mask = np.array([aa != "X" for aa in self.labels], dtype=bool)
+        nbr = np.asarray(self.neighbors)
+        if nbr.shape != (n, k) or nbr.dtype.kind not in "iu":
+            raise InvalidParameter(f"neighbors must be ({n}, {k}) int, got {nbr.shape} {nbr.dtype}")
+        if nbr.size and not 0 <= nbr.min() <= nbr.max() < n:
+            raise InvalidParameter(f"neighbor index outside [0, {n})")
+        for name in ("labels", "seq_index", "mask"):
+            if len(getattr(self, name)) != n:
+                raise InvalidParameter(f"{name} has {len(getattr(self, name))} entries, not n = {n}")
+        for name, feats, layout, lead in (("node", self.node_feats, self.node_layout, (n,)),
+                                          ("edge", self.edge_feats, self.edge_layout, (n, k))):
+            ends = list(itertools.accumulate((block["width"] for block in layout), initial=0))
+            if ([block["offset"] for block in layout] != ends[:-1]
+                    or np.shape(feats) != lead + (ends[-1],)):
+                raise InvalidParameter(f"{name} features {np.shape(feats)} do not match "
+                                       f"their layout of widths summing to {ends[-1]}")
 
     def edge_vector(self, sender: int, receiver: int) -> np.ndarray:
         """The feature vector of the directed edge sender -> receiver."""
@@ -423,12 +441,9 @@ def deserialize_graph(data: bytes) -> ResidueGraph:
     header, (nbr, node, edge) = unpack(data, _GRAPH_MAGIC, lambda h: [
         ("<i4", (h["n"], h["k"])), ("<f4", (h["n"], h["node_dim"])),
         ("<f4", (h["n"], h["k"], h["edge_dim"]))], ParseError, "graph container")
-    n = header["n"]
-    if nbr.size and not 0 <= nbr.min() <= nbr.max() < n:
-        raise ParseError(f"graph container: neighbor index outside [0, {n})")
     with checked(ParseError, "graph container header"):
         return ResidueGraph(
-            n=n, k=header["k"], neighbors=nbr.astype(np.int32),
+            n=header["n"], k=header["k"], neighbors=nbr.astype(np.int32),
             node_feats=node.astype(np.float64), edge_feats=edge.astype(np.float64),
             node_layout=header["node_layout"], edge_layout=header["edge_layout"],
             labels=header["labels"], seq_index=np.array(header["seq_index"], dtype=np.int32),

@@ -31,7 +31,7 @@ from .containers import pack, unpack
 from .encoder import LayerState, StackParams, encoder_stack
 from .errors import InvalidParameter, ShapeError
 from .geometry import ResidueGraph
-from .nn import Linear, MlpBlock
+from .nn import ACTIVATIONS, Linear, MlpBlock
 from .rng import RandomStream
 from .structure_io import AMINO_ACIDS
 
@@ -236,8 +236,17 @@ class ModelConfig:
     share_stage_params: bool = True
 
     def __post_init__(self):
-        if self.recycles < 1:
-            raise InvalidParameter(f"recycles must be >= 1, got {self.recycles}")
+        for name, low in (("node_dim", 0), ("edge_dim", 1), ("hidden_dim", 1), ("layers", 0),
+                          ("heads", 1), ("struct_dim", 0), ("seq_dim", 0), ("recycles", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise InvalidParameter(f"{name} must be an integer >= {low}, got {value!r}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise InvalidParameter(f"dropout must be in [0, 1), got {self.dropout!r}")
+        if self.activation not in ACTIVATIONS:
+            raise InvalidParameter(f"unknown activation {self.activation!r}")
+        if self.pool_mode not in ("channel", "scalar"):
+            raise InvalidParameter(f"unknown pool mode {self.pool_mode!r}")
         if self.hidden_dim % self.heads != 0:
             raise InvalidParameter("hidden_dim must be divisible by heads")
 

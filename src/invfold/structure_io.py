@@ -243,12 +243,9 @@ def deserialize_backbone(data: bytes) -> ProteinBackbone:
         seq_index = list(map(itemgetter("seq_index"), residues))
         if not set(map(type, seq_index)) <= {int}:
             raise TypeError("a seq_index is not an integer")
-        fields = (coords.astype(np.float64), present, "".join(map(itemgetter("aa"), residues)),
-                  np.array(seq_index, dtype=np.int64), header["chain_id"])
-    try:
-        return ProteinBackbone(*fields)
-    except InvalidParameter as exc:
-        raise ParseError(f"backbone container: {exc}") from exc
+        return ProteinBackbone(coords.astype(np.float64), present,
+                               "".join(map(itemgetter("aa"), residues)),
+                               np.array(seq_index, dtype=np.int64), header["chain_id"])
 
 
 def write_backbone(backbone: ProteinBackbone, path) -> None:

@@ -2,6 +2,7 @@
 backward contracts, and softmax behavior."""
 
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -94,6 +95,49 @@ class TestBackwardContract:
                     ad.log(Tensor([-1.0]))
         finally:
             ad.set_debug_checks(False)
+
+
+class TestTapeMemory:
+    def test_dropped_intermediate_is_freed(self):
+        x = param((4, 3), seed=60)
+        y = ad.gelu(x)
+        freed = weakref.ref(y.data)
+        loss = ad.tsum(ad.mul(y, 3.0))
+        del y
+        assert freed() is None
+        backward(loss)
+        dropped = x.grad
+        x.zero_grad()
+        kept = ad.gelu(x)
+        backward(ad.tsum(ad.mul(kept, 3.0)))
+        assert np.array_equal(x.grad, dropped)
+
+        def f():
+            return ad.tsum(ad.mul(ad.gelu(x), 3.0))
+
+        assert check_gradient(f, {"x": x}, eps=1e-6) < 1e-6
+
+    def test_gelu_keeps_only_its_input(self):
+        x = param((50, 4), seed=61)
+        assert ad.tape_stats(ad.tsum(ad.gelu(x))) == (3, x.data.nbytes)
+
+    def test_dropout_keeps_a_boolean_mask(self):
+        x = param((1000, 8), seed=62)
+        out = ad.dropout(x, 0.25, RandomStream(3, "d"), training=True)
+        assert ad.tape_stats(ad.tsum(ad.mul(out, 2.0))) == (4, 1000 * 8)
+
+    def test_second_backward_through_a_consumed_node_raises(self):
+        x = param((3,), seed=63)
+        y = ad.gelu(x)
+        first, second = ad.tsum(y), ad.tsum(ad.mul(y, y))
+        backward(first)
+        grad = x.grad.copy()
+        with pytest.raises(InvalidBackward):
+            backward(second)
+        assert np.array_equal(x.grad, grad)
+
+    def test_tape_stats_of_a_constant(self):
+        assert ad.tape_stats(ad.tsum(Tensor(np.ones(3)))) == (0, 0)
 
 
 class TestOpGradients:
@@ -322,7 +366,7 @@ class TestCheckGradient:
 def records_tape() -> bool:
     """Whether a new op on a requires_grad leaf links to its parent."""
     out = ad.mul(Tensor(np.ones(2), requires_grad=True), 2.0)
-    return out.requires_grad and len(out._parents) == 1
+    return out.requires_grad and len(out._node.parents) == 1
 
 
 class TestNoGrad:
@@ -331,7 +375,7 @@ class TestNoGrad:
         with ad.no_grad():
             y = ad.tsum(ad.mul(x, x))
             assert not ad.grad_enabled()
-        assert not y.requires_grad and y._parents == ()
+        assert not y.requires_grad and y._node is None
         assert ad.grad_enabled() and records_tape()
 
     def test_values_match_taped_run(self):

@@ -228,7 +228,7 @@ class TestTrainEval:
         assert main(["eval", "--dataset", str(dataset), "--config", tiny_config,
                      "--out", str(tmp_path / "m.csv"), "--jobs", "2"]) == 0
         out = ad.mul(ad.Tensor(np.ones(2), requires_grad=True), 2.0)
-        assert out.requires_grad and out._parents
+        assert out.requires_grad and out._node is not None
 
     def test_eval_malformed_fasta_nonfatal(self, tmp_path, tiny_config, pdb_file):
         dataset = tmp_path / "data"
@@ -407,6 +407,33 @@ class TestMalformedInput:
         assert main(["infer", "--features", str(graph), "--config", str(other)]) == 3
         assert "feature dims" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,size", [("labels", 3), ("seq_index", 5)])
+    def test_graph_with_short_lists_exit_2(self, tmp_path, tiny_config, capsys, field, size):
+        import struct
+        from conftest import atom_line
+        from invfold.synthetic import random_backbone
+        pdb = tmp_path / "chain60.pdb"
+        pdb.write_text("".join(
+            atom_line(4 * i + a + 1, name, "ALA", "A", i + 1, *xyz) + "\n"
+            for i, atoms in enumerate(random_backbone(52, 60).coords())
+            for a, (name, xyz) in enumerate(zip(("N", "CA", "C", "O"), atoms))))
+        graph = tmp_path / "g.ifg"
+        args = ["infer", "--features", str(graph), "--config", tiny_config]
+        assert main(["featurize", str(pdb), "--chain", "A", "--out", str(graph),
+                     "--config", tiny_config]) == 0
+        assert main(args) == 0
+        data = graph.read_bytes()
+        (hlen,) = struct.unpack_from("<I", data, 4)
+        header = json.loads(data[8:8 + hlen])
+        header[field] = header[field][:size]
+        head = json.dumps(header).encode()
+        graph.write_bytes(data[:4] + struct.pack("<I", len(head)) + head + data[8 + hlen:])
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert field in err
+
     def test_nan_coordinate_exit_2(self, tmp_path, tiny_config, pdb_file, capsys):
         lines = open(pdb_file).read().splitlines()
         lines[5] = lines[5][:38] + f"{float('nan'):8.3f}" + lines[5][46:]
@@ -423,6 +450,15 @@ class TestMalformedInput:
         path.write_text(json.dumps({"seed": "abc"}))
         assert main(["theory", "--suite", "return-mass", "--config", str(path)]) == 1
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", [{"heads": 0}, {"hidden_dim": -8}, {"layers": -1}])
+    def test_model_setting_out_of_range_exit_1(self, tmp_path, pdb_file, capsys, model):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY_CONFIG, "model": {**TINY_CONFIG["model"], **model}}))
+        assert main(["infer", "--pdb", pdb_file, "--chain", "A", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert next(iter(model)) in err
 
     @pytest.mark.parametrize("text", ["[1, 2", "{\"a\": 1}", "[\"H\"]", json.dumps([99] * 14),
                                       json.dumps([-1] + [0] * 13), json.dumps([0] * 13)])

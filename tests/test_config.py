@@ -72,3 +72,29 @@ def test_model_config_assembly():
     assert mc.node_dim == cfg.features.node_dim
     assert mc.edge_dim == cfg.features.edge_dim
     assert mc.struct_dim == 512 and mc.seq_dim == 320
+
+
+@pytest.mark.parametrize("model", [{"heads": 0}, {"hidden_dim": -8}, {"layers": -1},
+                                   {"recycles": 0}, {"dropout": 1.0}, {"activation": "tanh"},
+                                   {"hidden_dim": 10, "heads": 4}, {"heads": "two"}])
+def test_model_out_of_range_is_a_config_error(model):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"model": model})
+    assert "model" in str(err.value)
+
+
+def test_zero_layers_is_legal():
+    """A depth-0 stack is the identity on the fused node states; the
+    model still decodes from them."""
+    from invfold.geometry import build_knn_graph
+    from invfold.recycling import (InverseFoldModel, StubSequenceProvider,
+                                   StubStructureProvider, recycle_infer)
+    from invfold.synthetic import random_backbone
+    cfg = config_from_dict({"features": {"k": 6, "rbf_count": 4},
+                            "model": {"layers": 0, "hidden_dim": 8, "heads": 2},
+                            "priors": {"struct_dim": 4, "seq_dim": 4}})
+    model = InverseFoldModel(cfg.model_config(), seed=0)
+    graph = build_knn_graph(random_backbone(3, 10), cfg.features)
+    result = recycle_infer(model, graph, StubStructureProvider(dim=4, seed=0),
+                           StubSequenceProvider(dim=4, seed=0), 2)
+    assert len(result.predicted.tokens) == 10

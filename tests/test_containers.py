@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from invfold import containers
 from invfold.encoder import read_attention_dump, write_attention_dump
-from invfold.errors import CheckpointMismatch, InvfoldError, ParseError, ShapeError
+from invfold.errors import CheckpointMismatch, InvalidParameter, InvfoldError, ParseError, ShapeError
 from invfold.geometry import FeatureConfig, build_knn_graph, deserialize_graph, serialize_graph
 from invfold.nn import load_checkpoint, save_checkpoint
 from invfold.recycling import InverseFoldModel, ModelConfig, read_embeddings, write_embeddings
@@ -202,6 +202,44 @@ def test_bad_backbone_count_raises_parse_error(value):
         return
     with pytest.raises(ParseError):
         deserialize_backbone(_repack("IFB1", header, struct.pack("<Q", value) + body[8:]))
+
+
+def _cut(field, size):
+    def edit(header):
+        header[field] = header[field][:size]
+    return edit
+
+
+def _widen(field, by):
+    def edit(header):
+        header[field][-1]["width"] += by
+    return edit
+
+
+def _shift(field):
+    def edit(header):
+        header[field][-1]["offset"] += 1
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _cut("labels", 3), _cut("seq_index", 5), _widen("node_layout", 1),
+    _widen("edge_layout", -1), _shift("edge_layout"), _cut("node_layout", 1)])
+def test_graph_header_disagreeing_with_its_blocks_raises_parse_error(edit):
+    header, body = _split(GOLDEN["IFG1"])
+    edit(header)
+    with pytest.raises(ParseError):
+        deserialize_graph(_repack("IFG1", header, body))
+
+
+def test_graph_record_checks_its_arrays():
+    good = deserialize_graph(GOLDEN["IFG1"])
+    for change in ({"neighbors": good.neighbors[:, :-1]},
+                   {"neighbors": np.full_like(good.neighbors, good.n)},
+                   {"mask": good.mask[:-1]},
+                   {"edge_feats": good.edge_feats[:, :, :-1]}):
+        with pytest.raises(InvalidParameter):
+            dataclasses.replace(good, **change)
 
 
 @FUZZ

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from invfold import autodiff as ad
+from invfold import autodiff as ad, encoder
 from invfold.autodiff import Tensor, backward, check_gradient
 from invfold.encoder import (
     AttentionParams,
@@ -331,6 +331,24 @@ class TestEncoderStack:
         assert len(alphas) == 4
         assert all(a.shape == neighbors.shape for a in alphas)
         assert out.layer_index == 4
+
+    def test_last_layer_skips_its_edge_refresh(self, tiny_setup, monkeypatch):
+        stream, neighbors, h, e, d, d_e = tiny_setup
+        params = StackParams(d, d_e, heads=2, depth=3, stream=stream.child("skip"), dropout=0.1)
+        ref = LayerState(Tensor(h), Tensor(e), neighbors)
+        ref_alphas = []
+        for layer in params.layers:  # every layer refreshes its edges
+            ref, alpha = encoder_layer(ref, layer, training=True, stream=RandomStream(6, "drop"))
+            ref_alphas.append(alpha)
+        calls = []
+        real = encoder.edge_update
+        monkeypatch.setattr(encoder, "edge_update",
+                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        out, alphas = encoder_stack(LayerState(Tensor(h), Tensor(e), neighbors), params,
+                                    training=True, stream=RandomStream(6, "drop"))
+        assert len(calls) == 2
+        assert np.array_equal(out.h.data, params.final_norm(ref.h).data)
+        assert all(np.array_equal(a, b) for a, b in zip(alphas, ref_alphas))
 
     def test_attention_dump_round_trip(self, tmp_path, tiny_setup):
         from invfold.encoder import read_attention_dump, write_attention_dump

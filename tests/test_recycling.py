@@ -165,7 +165,7 @@ class TestRecycleInfer:
     def test_matches_taped_run_stages(self, small_model, small_graph, small_providers):
         sp, qp = small_providers
         taped, _, _ = small_model.run_stages(small_graph, sp, qp, 3)
-        assert all(p.requires_grad and p._parents for p in taped)
+        assert all(p.requires_grad and p._node is not None for p in taped)
         r = recycle_infer(small_model, small_graph, sp, qp, 3)
         for d, p in zip(r.distributions, taped):
             assert np.array_equal(d.probs, p.data)

@@ -184,6 +184,22 @@ class TestAdamW:
         assert p.data[0] == pytest.approx(10.0 * (1 - 0.1 * 0.5))
 
 
+def test_training_tape_stays_small(small_graph, small_feature_config, small_providers):
+    """A T = 3 training forward at n = 12 holds 0.65 MB of tape. Nodes
+    that kept their outputs, or gelu's temporaries, would put it near
+    1.2 MB."""
+    from invfold.recycling import InverseFoldModel
+    cfg = ModelConfig(node_dim=small_feature_config.node_dim,
+                      edge_dim=small_feature_config.edge_dim, hidden_dim=16, layers=2,
+                      heads=2, struct_dim=12, seq_dim=10, dropout=0.1)
+    model = InverseFoldModel(cfg, seed=3)
+    probs, _, _ = model.run_stages(small_graph, *small_providers, 3, training=True,
+                                   stream=RandomStream(0, "tape"))
+    nodes, held = ad.tape_stats(staged_loss_tensor(probs, small_graph.labels))
+    assert nodes == 436
+    assert held < 700_000
+
+
 class TestTrainToy:
     @pytest.fixture
     def tiny_cfg(self):
