@@ -27,12 +27,17 @@ never turns recording off, or back on, in another; blocks nest and
 restore the enclosing state on exit, also when the body raises. Values
 are the same with or without a tape.
 
-Gradients of row gathers (`take_rows`, the sender block of
-`pair_linear`) are sorted-segment sums (`scatter_rows`): the gradient
-rows are grouped by the row they were gathered from and each group is
-summed. The sort plan depends only on the index array, so it is built
-once per distinct index, on the first backward pass that needs it, and
-reused by every later op and pass; inference never builds one.
+The per-edge MLP of the encoder is one op, `edge_mlp`: its forward runs
+over blocks of receivers so the hidden activations stay in cache between
+the two GEMMs, and its tape keeps the pre-activation and the dropout
+mask, not the hidden activation.
+
+Gradients of row gathers (`take_rows`, the sender term of `edge_mlp`)
+are sorted-segment sums (`scatter_rows`): the gradient rows are grouped
+by the row they were gathered from and each group is summed. The sort
+plan depends only on the index array, so it is built once per distinct
+index, on the first backward pass that needs it, and reused by every
+later op and pass; inference never builds one.
 
 `check_gradient` is the independent oracle: central finite differences
 re-evaluating the user's closure, never touching the tape internals.
@@ -290,57 +295,111 @@ def linear(x, w, b=None) -> Tensor:
     return _make(out.reshape(*shape[:-1], d_out), parents, "linear")
 
 
-def pair_linear(h, e, neighbors, w, b=None) -> Tensor:
-    """Per-edge projection of [h_i || h_j || e_ji]: receiver state,
-    sender state, edge state.
+# edge rows per block of `edge_mlp`'s forward: a block's hidden buffers
+# stay in cache between the two GEMMs
+EDGE_ROWS = 512
 
-    Equivalent to concatenating the three per edge and multiplying by w,
-    whose rows are d receiver, d sender and d_e edge rows in that order,
-    but the node segments run as (n, d) GEMMs that are then
-    broadcast/gathered, which avoids materializing the wide
-    concatenation. The receiver and sender projections form one
-    (2, n, d_out) tape node, so backward reduces the edge gradient onto
-    them once (a slot sum and a `scatter_rows`) and both h and w read
-    the result.
+
+def edge_mlp(h, e, neighbors, w1, b1, w2, b2, activation: str, keep=None,
+             scale: float = 1.0) -> Tensor:
+    """Residual per-edge MLP: e_ji + act([h_i || h_j || e_ji] w1 + b1) w2 + b2.
+
+    h: (n, d) node states, e: (n, k, d_e) edge states, neighbors: (n, k)
+    sender indices; w1 holds d receiver, d sender and d_e edge rows in
+    that order, and w2 maps the hidden width back to d_e. `activation` is
+    "gelu" or "relu". With a boolean `keep` of the hidden shape (n, k, d_h)
+    the hidden activation is multiplied by `keep * scale` (inverted
+    dropout).
+
+    The wide concatenation never exists: the node segments of w1 run as
+    (n, d) GEMMs whose rows are broadcast (receiver) or gathered (sender)
+    onto the edges. The forward runs over blocks of receivers, about
+    EDGE_ROWS edges each: the edge GEMM, the node terms and b1, the
+    activation, the dropout multiply, the second GEMM, b2 and the
+    residual all touch a block while it is in cache, and only the output
+    is allocated per edge. On a tape the op also keeps the pre-activation
+    (one (n, k, d_h) array) and the mask; backward runs on whole arrays,
+    computes the activation's value and slope from the pre-activation
+    once, and sums the sender gradient with `scatter_rows`. Values and
+    gradients come from the same expressions as the separate ops (node
+    and edge GEMMs, adds, activation, dropout, linear, residual add), so
+    their bits are the same.
     """
-    h, w = as_tensor(h), as_tensor(w)
-    e = as_tensor(e)
-    hd, wd = h.data, w.data
+    h, e, w1, b1, w2, b2 = (as_tensor(t) for t in (h, e, w1, b1, w2, b2))
+    hd, ed, w1d, w2d = h.data, e.data, w1.data, w2.data
     n, d = hd.shape
-    _, k, d_e = e.shape
-    w_self, w_nbr, w_edge = wd[:d], wd[d:2 * d], wd[2 * d:]
-    d_out = wd.shape[1]
+    _, k, d_e = ed.shape
+    d_h = w1d.shape[1]
+    w_self, w_nbr, w_edge = w1d[:d], w1d[d:2 * d], w1d[2 * d:]
+    node_self, node_nbr = hd @ w_self, hd @ w_nbr
+    act_into, act_parts = _EDGE_ACTIVATIONS[activation]
+    inputs = (h, e, w1, b1, w2, b2)
+    taped = grad_enabled() and any(t.requires_grad for t in inputs)
 
-    def vjp_nodes_w(g):
-        gw = np.zeros_like(wd)
-        gw[:d] = hd.T @ g[0]
-        gw[d:2 * d] = hd.T @ g[1]
+    dtype = np.result_type(*(t.data for t in inputs))
+    step = max(1, EDGE_ROWS // max(k, 1))
+    block = min(step, n)
+    out = np.empty((n, k, d_e), dtype)
+    pre = np.empty((n if taped else block, k, d_h), dtype)
+    hidden, scratch = np.empty((2, block, k, d_h), dtype)
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        z = pre[r0:r1] if taped else pre[:r1 - r0]
+        a = hidden[:r1 - r0]
+        np.matmul(ed[r0:r1].reshape(-1, d_e), w_edge, out=z.reshape(-1, d_h))
+        z += node_self[r0:r1, None, :]
+        z += node_nbr[neighbors[r0:r1]]
+        z += b1.data
+        act_into(z, a, scratch[:r1 - r0])
+        if keep is not None:
+            a *= keep[r0:r1]
+            a *= scale
+        y = out[r0:r1]
+        np.matmul(a.reshape(-1, d_h), w2d, out=y.reshape(-1, d_e))
+        y += b2.data
+        y += ed[r0:r1]
+    if not taped:
+        return _make(out, [], "edge_mlp")
+
+    e_flat = ed.reshape(-1, d_e)
+    memo = {}
+
+    def hidden_grads(g):
+        # the gradient at the pre-activation and the hidden value after
+        # dropout, computed once per backward and shared by the VJPs;
+        # the w2 VJP pops the value, which nothing else reads
+        if not memo:
+            value, slope = act_parts(pre)
+            g_hid = (g.reshape(-1, d_e) @ w2d.T).reshape(n, k, d_h)
+            if keep is not None:
+                mask = keep * scale
+                g_hid, value = g_hid * mask, value * mask
+            g_pre = g_hid * slope
+            memo.update(value=value.reshape(-1, d_h), g_pre=g_pre,
+                        g_self=g_pre.sum(axis=1), g_nbr=scatter_rows(g_pre, neighbors, n))
+        return memo
+
+    def vjp_w1(g):
+        m = hidden_grads(g)
+        gw = np.empty_like(w1d)
+        gw[:d] = hd.T @ m["g_self"]
+        gw[d:2 * d] = hd.T @ m["g_nbr"]
+        gw[2 * d:] = e_flat.T @ m["g_pre"].reshape(-1, d_h)
         return gw
 
-    nodes = _make(np.stack([hd @ w_self, hd @ w_nbr]), [
-        (h, lambda g: g[0] @ w_self.T + g[1] @ w_nbr.T),
-        (w, vjp_nodes_w),
-    ], "pair_linear")
-    e_flat = e.data.reshape(n * k, d_e)
-    out = e_flat @ w_edge
-    out = out.reshape(n, k, d_out)
-    out = out + nodes.data[0][:, None, :] + nodes.data[1][neighbors]
+    def vjp_h(g):
+        m = hidden_grads(g)
+        return m["g_self"] @ w_self.T + m["g_nbr"] @ w_nbr.T
 
-    def vjp_edge_w(g):
-        gw = np.zeros_like(wd)
-        gw[2 * d:] = e_flat.T @ g.reshape(-1, d_out)
-        return gw
-
-    parents = [
-        (e, lambda g: (g.reshape(-1, d_out) @ w_edge.T).reshape(n, k, d_e)),
-        (w, vjp_edge_w),
-        (nodes, lambda g: np.stack([g.sum(axis=1), scatter_rows(g, neighbors, n)])),
-    ]
-    if b is not None:
-        b = as_tensor(b)
-        out = out + b.data
-        parents.append((b, lambda g: g.reshape(-1, d_out).sum(axis=0)))
-    return _make(out, parents, "pair_linear")
+    return _make(out, [
+        (e, lambda g: g),
+        (w2, lambda g: hidden_grads(g).pop("value").T @ g.reshape(-1, d_e)),
+        (b2, lambda g: g.reshape(-1, d_e).sum(axis=0)),
+        (e, lambda g: (hidden_grads(g)["g_pre"].reshape(-1, d_h) @ w_edge.T).reshape(n, k, d_e)),
+        (w1, vjp_w1),
+        (b1, lambda g: hidden_grads(g)["g_pre"].reshape(-1, d_h).sum(axis=0)),
+        (h, vjp_h),
+    ], "edge_mlp")
 
 
 def edge_scores(q, e, w, heads: int) -> Tensor:
@@ -518,8 +577,46 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def _gelu_parts(x):
+    """x², the tanh and x / 2: what gelu's value and slope are made of."""
     x2 = x * x
     return x2, np.tanh(x * (_GELU_C + (_GELU_C * 0.044715) * x2)), 0.5 * x
+
+
+def _gelu_value(parts):
+    _, t, half_x = parts
+    return half_x + half_x * t
+
+
+def _gelu_slope(parts):
+    x2, t, half_x = parts
+    dinner = _GELU_C + (3.0 * _GELU_C * 0.044715) * x2
+    return 0.5 + 0.5 * t + half_x * ((1.0 - t * t) * dinner)
+
+
+def _gelu_into(x, out, half_x):
+    """gelu(x) written into out, with half_x as scratch: `_gelu_parts` and
+    `_gelu_value` in place, so the same bits."""
+    np.multiply(x, x, out=out)
+    out *= _GELU_C * 0.044715
+    out += _GELU_C
+    out *= x
+    np.tanh(out, out=out)
+    np.multiply(x, 0.5, out=half_x)
+    out *= half_x
+    out += half_x
+
+
+def _gelu_value_slope(x):
+    parts = _gelu_parts(x)
+    return _gelu_value(parts), _gelu_slope(parts)
+
+
+def _relu_into(x, out, _):
+    np.maximum(x, 0.0, out=out)
+
+
+def _relu_value_slope(x):
+    return np.maximum(x, 0.0), x > 0
 
 
 def gelu(a) -> Tensor:
@@ -527,14 +624,16 @@ def gelu(a) -> Tensor:
     recomputes the tanh from it (the same expressions, so the same bits)."""
     a = as_tensor(a)
     x = a.data
-    _, t, half_x = _gelu_parts(x)
+    return _make(_gelu_value(_gelu_parts(x)),
+                 [(a, lambda g: g * _gelu_slope(_gelu_parts(x)))], "gelu")
 
-    def vjp(g):
-        x2, t, half_x = _gelu_parts(x)
-        dinner = _GELU_C + (3.0 * _GELU_C * 0.044715) * x2
-        return g * (0.5 + 0.5 * t + half_x * ((1.0 - t * t) * dinner))
 
-    return _make(half_x + half_x * t, [(a, vjp)], "gelu")
+# activation name -> (forward of one block into a buffer, whole-array
+# (value, slope) for backward), as `edge_mlp` uses them
+_EDGE_ACTIVATIONS = {
+    "gelu": (_gelu_into, _gelu_value_slope),
+    "relu": (_relu_into, _relu_value_slope),
+}
 
 
 def softmax(a, axis=-1) -> Tensor:

@@ -462,7 +462,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (_UsageError, FileNotFoundError, InvalidParameter) as exc:
+    except (_UsageError, FileNotFoundError, InvalidParameter, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConfigError as exc:

@@ -158,12 +158,17 @@ def edge_update(h: Tensor, e: Tensor, neighbors: np.ndarray, mlp: MlpBlock,
     """Residual directed-edge refresh: e_{ji} + MLP([h_i || h_j || e_{ji}]).
 
     Each oriented channel reads only its own entry and the node states,
-    so the same-layer cross-channel derivative is exactly zero.
+    so the same-layer cross-channel derivative is exactly zero. The MLP
+    runs as one fused op (`ad.edge_mlp`); its dropout mask is the one the
+    block's hidden layer draws from `stream.child("drop0")`.
     """
-    first = mlp.layers[0]
-    x = ad.pair_linear(h, e, neighbors, first.w, first.b)
-    delta = mlp.apply_tail(x, training=training, stream=stream)
-    return ad.add(e, delta)
+    first, second = mlp.layers
+    keep, scale = None, 1.0
+    if training and mlp.dropout > 0.0:
+        keep = stream.child("drop0").keep_mask(e.shape[:2] + first.w.shape[1:], mlp.dropout)
+        scale = 1.0 / (1.0 - mlp.dropout)
+    return ad.edge_mlp(h, e, neighbors, first.w, first.b, second.w, second.b,
+                       mlp.activation, keep, scale)
 
 
 def global_context_bridge(h_local: Tensor, params: BridgeParams,

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the size check
+that the config records share."""
 
 
 class InvfoldError(Exception):
@@ -23,6 +24,14 @@ class InvalidRotation(InvfoldError):
 
 class InvalidParameter(InvfoldError):
     """Parameter outside its documented range."""
+
+
+def check_count(record, name: str, low: int) -> None:
+    """InvalidParameter unless record.<name> is an int (not a bool) in
+    [low, 2**31); larger sizes would only fail deep inside numpy."""
+    value = getattr(record, name)
+    if isinstance(value, bool) or not hasattr(value, "__index__") or not low <= value < 2**31:
+        raise InvalidParameter(f"{name} must be an integer in [{low}, 2**31), got {value!r}")
 
 
 class DegenerateFrame(InvfoldError):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .containers import checked, pack, unpack
-from .errors import DegenerateFrame, GraphTooSmall, InvalidParameter, ParseError
+from .errors import DegenerateFrame, GraphTooSmall, InvalidParameter, ParseError, check_count
 from .structure_io import ProteinBackbone
 
 _GRAPH_MAGIC = b"IFG1"
@@ -52,12 +52,20 @@ class FeatureConfig:
     ss_classes: int = 10
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InvalidParameter(f"k must be >= 1, got {self.k}")
-        if self.rbf_count < 2:
-            raise InvalidParameter(f"rbf_count must be >= 2, got {self.rbf_count}")
+        for name, low in (("k", 1), ("rbf_count", 2), ("relative_position_clamp", 0),
+                          ("ss_classes", 1)):
+            check_count(self, name, low)
+        for name in ("rbf_min", "rbf_max"):  # Å; the bound keeps (d - c)^2 / sigma^2 finite
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float, np.number))
+                    or not abs(value) <= 1e6):
+                raise InvalidParameter(f"{name} must be a number in [-1e6, 1e6], got {value!r}")
         if not self.rbf_min < self.rbf_max:
             raise InvalidParameter("rbf_min must be < rbf_max")
+        for name in ("use_intra_rbf", "use_dihedrals", "use_secondary_structure",
+                     "use_orientations", "use_relative_position"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise InvalidParameter(f"{name} must be true or false, got {getattr(self, name)!r}")
 
     @property
     def node_dim(self) -> int:

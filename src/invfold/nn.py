@@ -80,12 +80,8 @@ class MlpBlock:
         ]
 
     def __call__(self, x: Tensor, training=False, stream=None) -> Tensor:
-        x = self.layers[0](x)
-        return self.apply_tail(x, training=training, stream=stream)
-
-    def apply_tail(self, x: Tensor, training=False, stream=None) -> Tensor:
-        """Continue after the first Linear (whose output is `x`)."""
         act = ACTIVATIONS[self.activation]
+        x = self.layers[0](x)
         for i, layer in enumerate(self.layers[1:], start=1):
             x = act(x)
             if self.dropout > 0.0 and training:

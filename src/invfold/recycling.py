@@ -29,7 +29,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .containers import pack, unpack
 from .encoder import LayerState, StackParams, encoder_stack
-from .errors import InvalidParameter, ShapeError
+from .errors import InvalidParameter, ShapeError, check_count
 from .geometry import ResidueGraph
 from .nn import ACTIVATIONS, Linear, MlpBlock
 from .rng import RandomStream
@@ -238,9 +238,10 @@ class ModelConfig:
     def __post_init__(self):
         for name, low in (("node_dim", 0), ("edge_dim", 1), ("hidden_dim", 1), ("layers", 0),
                           ("heads", 1), ("struct_dim", 0), ("seq_dim", 0), ("recycles", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
-                raise InvalidParameter(f"{name} must be an integer >= {low}, got {value!r}")
+            check_count(self, name, low)
+        if not isinstance(self.share_stage_params, (bool, np.bool_)):
+            raise InvalidParameter(f"share_stage_params must be true or false, "
+                                   f"got {self.share_stage_params!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise InvalidParameter(f"dropout must be in [0, 1), got {self.dropout!r}")
         if self.activation not in ACTIVATIONS:

@@ -242,30 +242,35 @@ class TestOpGradients:
 
         assert check_gradient(f, {"x": x, "w": w, "b": b}, eps=1e-5) < 1e-6
 
-    def test_pair_linear_gradient(self):
+    def test_edge_mlp_gradient(self):
         neighbors = np.array([[1, 2], [0, 2], [1, 0], [2, 1]])
         h = param((4, 3), seed=28)
         e = param((4, 2, 5), seed=29)
-        w = param((11, 2), seed=30)
-        b = param((2,), seed=31)
-        wmix = rand((4, 2, 2), seed=32)
+        w1 = param((11, 6), seed=30)
+        b1 = param((6,), seed=31)
+        w2 = param((6, 5), seed=32)
+        b2 = param((5,), seed=33)
+        keep = RandomStream(3, "mask").keep_mask((4, 2, 6), 0.25)
+        wmix = rand((4, 2, 5), seed=34)
+        params = {"h": h, "e": e, "w1": w1, "b1": b1, "w2": w2, "b2": b2}
+        for activation in ("gelu", "relu"):
+            def f():
+                out = ad.edge_mlp(h, e, neighbors, w1, b1, w2, b2, activation, keep, 1 / 0.75)
+                return ad.tsum(ad.mul(out, wmix))
 
-        def f():
-            out = ad.pair_linear(h, e, neighbors, w, b)
-            return ad.tsum(ad.mul(out, wmix))
+            assert check_gradient(f, params, eps=1e-6) < 1e-6
 
-        err = check_gradient(f, {"h": h, "e": e, "w": w, "b": b}, eps=1e-6)
-        assert err < 1e-6
-
-    def test_pair_linear_matches_concat_path(self):
+    def test_edge_mlp_matches_concat_path(self):
         neighbors = np.array([[1, 2], [0, 2], [1, 0], [2, 1]])
-        h = param((4, 3), seed=33)
-        e = param((4, 2, 5), seed=34)
-        w = param((11, 2), seed=35)
-        fused = ad.pair_linear(h, e, neighbors, w)
+        h = param((4, 3), seed=35)
+        e = param((4, 2, 5), seed=36)
+        w1, b1 = param((11, 6), seed=37), param((6,), seed=38)
+        w2, b2 = param((6, 5), seed=39), param((5,), seed=40)
+        fused = ad.edge_mlp(h, e, neighbors, w1, b1, w2, b2, "gelu")
         h_i = ad.take_rows(h, np.repeat(np.arange(4)[:, None], 2, 1))
         h_j = ad.take_rows(h, neighbors)
-        explicit = ad.linear(ad.concat([h_i, h_j, e], axis=2), w)
+        hidden = ad.gelu(ad.linear(ad.concat([h_i, h_j, e], axis=2), w1, b1))
+        explicit = ad.add(e, ad.linear(hidden, w2, b2))
         assert np.max(np.abs(fused.data - explicit.data)) < 1e-12
 
     def test_edge_scores_and_combine(self):
@@ -322,6 +327,59 @@ class TestOpGradients:
             return ad.tsum(ad.sigmoid(ad.matmul(ad.gelu(ad.matmul(Tensor(x), w1)), w2)))
 
         assert check_gradient(f, {"w1": w1, "w2": w2}, eps=1e-5) < 1e-6
+
+
+def unfused_edge_mlp(h, e, neighbors, w1, b1, w2, b2, activation, stream=None, rate=0.0):
+    """The edge MLP as separate ops: node and edge segments of w1, b1, the
+    activation, dropout, the second linear and the residual add."""
+    n, d = h.shape
+    w_self, w_nbr, w_edge = Tensor(w1[:d]), Tensor(w1[d:2 * d]), Tensor(w1[2 * d:])
+    x = ad.add(ad.linear(Tensor(e), w_edge), ad.reshape(ad.matmul(Tensor(h), w_self), (n, 1, -1)))
+    x = ad.add(ad.add(x, ad.take_rows(ad.matmul(Tensor(h), w_nbr), neighbors)), Tensor(b1))
+    x = {"gelu": ad.gelu, "relu": ad.relu}[activation](x)
+    x = ad.dropout(x, rate, stream, training=True)
+    return ad.add(Tensor(e), ad.linear(x, Tensor(w2), Tensor(b2)))
+
+
+class TestEdgeMlp:
+    @staticmethod
+    def inputs(n, k, d=8, d_e=8, d_h=16, seed=0):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((n, d)), rng.standard_normal((n, k, d_e)),
+                rng.integers(0, n, (n, k)), rng.standard_normal((2 * d + d_e, d_h)) * 0.3,
+                rng.standard_normal(d_h), rng.standard_normal((d_h, d_e)) * 0.3,
+                rng.standard_normal(d_e))
+
+    # 33 receivers in blocks of EDGE_ROWS // 48 leave a short last block;
+    # k > EDGE_ROWS puts one receiver in each block
+    @pytest.mark.parametrize("n,k", [(33, 48), (3, ad.EDGE_ROWS + 8)])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    def test_matches_unfused_composition_bitwise(self, n, k, rate, activation):
+        h, e, neighbors, w1, b1, w2, b2 = self.inputs(n, k)
+        ref = unfused_edge_mlp(h, e, neighbors, w1, b1, w2, b2, activation,
+                               RandomStream(7, "drop"), rate).data
+        keep = RandomStream(7, "drop").keep_mask((n, k, w1.shape[1]), rate) if rate else None
+        args = (neighbors, Tensor(w1), Tensor(b1), Tensor(w2), Tensor(b2), activation,
+                keep, 1.0 / (1.0 - rate))
+        with ad.no_grad():
+            untaped = ad.edge_mlp(Tensor(h), Tensor(e), *args)
+        taped = ad.edge_mlp(Tensor(h, requires_grad=True), Tensor(e), *args)
+        assert untaped._node is None and taped._node is not None
+        assert np.array_equal(untaped.data, ref)
+        assert np.array_equal(taped.data, ref)
+
+    def test_tape_keeps_pre_activation_and_mask(self):
+        n, k = 9, 4
+        data = self.inputs(n, k, d_h=12)
+        h, e, neighbors = Tensor(data[0], requires_grad=True), Tensor(data[1], requires_grad=True), data[2]
+        w1, b1, w2, b2 = (Tensor(x, requires_grad=True) for x in data[3:])
+        keep = RandomStream(1, "mask").keep_mask((n, k, 12), 0.2)
+        out = ad.edge_mlp(h, e, neighbors, w1, b1, w2, b2, "gelu", keep, 1.0 / 0.8)
+        pre = n * k * 12 * 8
+        held = pre + keep.nbytes + sum(t.data.nbytes for t in (h, e, w1, w2)) + neighbors.nbytes
+        # the op, its six leaves and the sum: no hidden activation after the mask
+        assert ad.tape_stats(ad.tsum(out)) == (8, held)
 
 
 class TestDropout:

@@ -1,12 +1,24 @@
 """End-to-end command-line behavior and the exit-code contract."""
 
+import copy
+import dataclasses
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import invfold
 from invfold.cli import main
-from invfold.geometry import read_graph
+from invfold.config import ModelSettings
+from invfold.geometry import FeatureConfig, read_graph
 from invfold.structure_io import read_fasta_file
 
 TINY_CONFIG = {
@@ -38,6 +50,16 @@ def pdb_file(tmp_path):
             serial += 1
     path = tmp_path / "toy.pdb"
     path.write_text("\n".join(text) + "\n")
+    return str(path)
+
+
+def write_chain_pdb(path, n, seed=51):
+    from conftest import atom_line
+    from invfold.synthetic import random_backbone
+    path.write_text("".join(
+        atom_line(4 * i + a + 1, name, "ALA", "A", i + 1, *xyz) + "\n"
+        for i, atoms in enumerate(random_backbone(seed, n).coords())
+        for a, (name, xyz) in enumerate(zip(("N", "CA", "C", "O"), atoms))))
     return str(path)
 
 
@@ -109,6 +131,30 @@ class TestConfig:
         code = main(["theory", "--suite", "return-mass", "--config", str(path)])
         assert code == 1
         assert "wrong_section" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("features", [
+        {"k": 2.5}, {"k": True}, {"relative_position_clamp": -1}, {"ss_classes": -1},
+        {"use_orientations": "no"}, {"rbf_max": float("inf")}, {"rbf_min": float("nan")}])
+    def test_ill_typed_feature_is_a_config_error(self, tmp_path, capsys, features):
+        pdb = write_chain_pdb(tmp_path / "chain30.pdb", 30)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"features": features}))
+        code = main(["infer", "--config", str(path), "--pdb", pdb, "--chain", "A"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("config error: invalid features section")
+
+    def test_out_of_memory_is_one_line(self, monkeypatch, capsys, tiny_config, pdb_file):
+        # a size under the config's bounds can still be more than memory holds
+        def too_big(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.01 TiB for an array")
+
+        monkeypatch.setattr("invfold.cli._build_model", too_big)
+        code = main(["infer", "--pdb", pdb_file, "--chain", "A", "--config", tiny_config])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.strip().splitlines() == ["error: Unable to allocate 8.01 TiB for an array"]
 
     def test_riga_seed_env_fallback(self, monkeypatch, capsys):
         monkeypatch.setenv("RIGA_SEED", "77")
@@ -251,6 +297,44 @@ class TestHelp:
             main([sub, "--help"])
         assert exc.value.code == 0
         assert "usage" in capsys.readouterr().out.lower()
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(invfold.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "invfold", "--help"], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0
+        assert "usage: invfold" in run.stdout
+
+
+# 0, negatives, huge ints, floats, strings, lists, null and bools
+ODD_VALUES = st.one_of(
+    st.just(0), st.integers(max_value=-1), st.integers(min_value=2**31), st.floats(),
+    st.text(max_size=6), st.lists(st.integers(), max_size=3), st.none(), st.booleans())
+CONFIG_KEYS = ([("features", f.name) for f in dataclasses.fields(FeatureConfig)]
+               + [("model", f.name) for f in dataclasses.fields(ModelSettings)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(where=st.sampled_from(CONFIG_KEYS), value=ODD_VALUES)
+def test_odd_config_values_exit_cleanly(tmp_path_factory, where, value):
+    """Any JSON value in any features or model key: featurize and infer on
+    a tiny chain exit 0, or 1 with one line on stderr; nothing escapes."""
+    tmp = tmp_path_factory.mktemp("odd")
+    pdb = write_chain_pdb(tmp / "chain.pdb", 14)
+    raw = copy.deepcopy(TINY_CONFIG)
+    raw[where[0]][where[1]] = value
+    config = tmp / "c.json"
+    config.write_text(json.dumps(raw))
+    for argv in (["featurize", pdb, "--chain", "A", "--out", str(tmp / "g.ifg")],
+                 ["infer", "--pdb", pdb, "--chain", "A"]):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv + ["--config", str(config)])
+        assert code in (0, 1), (argv[0], where, value, err.getvalue())
+        assert len(err.getvalue().strip().splitlines()) == code, (argv[0], where, value)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestAggregate:
@@ -410,16 +494,10 @@ class TestMalformedInput:
     @pytest.mark.parametrize("field,size", [("labels", 3), ("seq_index", 5)])
     def test_graph_with_short_lists_exit_2(self, tmp_path, tiny_config, capsys, field, size):
         import struct
-        from conftest import atom_line
-        from invfold.synthetic import random_backbone
-        pdb = tmp_path / "chain60.pdb"
-        pdb.write_text("".join(
-            atom_line(4 * i + a + 1, name, "ALA", "A", i + 1, *xyz) + "\n"
-            for i, atoms in enumerate(random_backbone(52, 60).coords())
-            for a, (name, xyz) in enumerate(zip(("N", "CA", "C", "O"), atoms))))
+        pdb = write_chain_pdb(tmp_path / "chain60.pdb", 60, seed=52)
         graph = tmp_path / "g.ifg"
         args = ["infer", "--features", str(graph), "--config", tiny_config]
-        assert main(["featurize", str(pdb), "--chain", "A", "--out", str(graph),
+        assert main(["featurize", pdb, "--chain", "A", "--out", str(graph),
                      "--config", tiny_config]) == 0
         assert main(args) == 0
         data = graph.read_bytes()
