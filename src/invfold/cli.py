@@ -2,10 +2,12 @@
 
 Subcommands: featurize, train, infer, eval, theory. Every run is
 deterministic under --seed (fallback order: flag, config file, the
-RIGA_SEED environment variable, 0). Exit codes: 0 success, 1 usage,
-missing input or invalid config, 2 parse failure, 3 numeric/dimension
-failure. A corrupt binary container exits 2 (backbone, graph, attention
-dump) or 3 (checkpoint, embedding file); docs/formats.md lists which.
+RIGA_SEED environment variable, 0), which also seeds the stub priors;
+a checkpoint trained under another seed exits 3 when a prior is a
+stub. Exit codes: 0 success, 1 usage, missing input or invalid config,
+2 parse failure, 3 numeric/dimension failure. A corrupt binary
+container exits 2 (backbone, graph, attention dump) or 3 (checkpoint,
+embedding file); docs/formats.md lists which.
 """
 
 from __future__ import annotations
@@ -86,22 +88,34 @@ def _load_cfg(args) -> RunConfig:
     return cfg
 
 
-def _providers(cfg: RunConfig, struct_arg=None, seq_arg=None):
+def _model_and_priors(cfg: RunConfig, checkpoint=None, struct_arg=None, seq_arg=None):
+    """The model (restored from `checkpoint` if given) and its two priors.
+    A stub prior takes the run seed, so a checkpoint trained under another
+    seed would meet other priors than it learned from."""
     struct_sel = struct_arg or cfg.priors.structure_provider
     seq_sel = seq_arg or cfg.priors.sequence_provider
+    model = InverseFoldModel(cfg.model, seed=cfg.seed)
+    if checkpoint is not None:
+        arrays, meta = load_checkpoint(checkpoint)
+        trained_seed = meta.get("seed")
+        if "stub" in (struct_sel, seq_sel) and trained_seed not in (None, cfg.seed):
+            raise CheckpointMismatch(
+                f"{checkpoint} was trained with seed {trained_seed} but this run uses seed "
+                f"{cfg.seed}; stub priors differ between seeds (pass --seed {trained_seed})")
+        restore_parameters(model.parameters(), arrays)
     if struct_sel == "stub":
-        struct_p = StubStructureProvider(dim=cfg.priors.struct_dim, seed=cfg.priors.provider_seed)
+        struct_p = StubStructureProvider(dim=cfg.priors.struct_dim, seed=cfg.seed)
     else:
         struct_p = FileStructureProvider(struct_sel)
     if seq_sel == "stub":
-        seq_p = StubSequenceProvider(dim=cfg.priors.seq_dim, seed=cfg.priors.provider_seed)
+        seq_p = StubSequenceProvider(dim=cfg.priors.seq_dim, seed=cfg.seed)
     else:
         seq_p = FileSequenceProvider(seq_sel)
     if struct_p.dim != cfg.priors.struct_dim or seq_p.dim != cfg.priors.seq_dim:
         raise CheckpointMismatch(
             f"provider dims ({struct_p.dim}, {seq_p.dim}) do not match config "
             f"({cfg.priors.struct_dim}, {cfg.priors.seq_dim})")
-    return struct_p, seq_p
+    return model, struct_p, seq_p
 
 
 def _read_text(path) -> str:
@@ -109,14 +123,6 @@ def _read_text(path) -> str:
     if not p.is_file():
         raise _UsageError(f"no such file: {path}")
     return p.read_text()
-
-
-def _build_model(cfg: RunConfig, checkpoint=None) -> InverseFoldModel:
-    model = InverseFoldModel(cfg.model_config(), seed=cfg.seed)
-    if checkpoint is not None:
-        arrays, _ = load_checkpoint(checkpoint)
-        restore_parameters(model.parameters(), arrays)
-    return model
 
 
 def cmd_featurize(args) -> int:
@@ -155,12 +161,11 @@ def cmd_train(args) -> int:
         if not pdbs:
             raise _UsageError(f"no .pdb files in {args.corpus}")
         for p in pdbs:
-            corpus.append(parse_pdb(p.read_text(), args.chain or cfg.data.chain))
+            corpus.append(parse_pdb(p.read_text(), args.chain))
     else:
         corpus = toy_corpus(cfg.seed)
 
-    result = train_toy(corpus, cfg.train, model_cfg=cfg.model_config(),
-                       feature_cfg=cfg.features)
+    result = train_toy(corpus, cfg.train, model_cfg=cfg.model, feature_cfg=cfg.features)
     ckpt = out_dir / "checkpoint.ifc"
     save_checkpoint(result.model.parameters(), ckpt,
                     meta={"seed": cfg.seed, "rng": cfg.rng,
@@ -195,8 +200,8 @@ def _load_graph_for_infer(args, cfg: RunConfig):
 def cmd_infer(args) -> int:
     cfg = _load_cfg(args)
     graph = _load_graph_for_infer(args, cfg)
-    model = _build_model(cfg, checkpoint=args.checkpoint)
-    struct_p, seq_p = _providers(cfg, args.struct_prior, args.seq_prior)
+    model, struct_p, seq_p = _model_and_priors(cfg, args.checkpoint, args.struct_prior,
+                                               args.seq_prior)
     recycles = args.recycles if args.recycles is not None else cfg.model.recycles
 
     result = recycle_infer(model, graph, struct_p, seq_p, recycles)
@@ -237,12 +242,11 @@ def cmd_eval(args) -> int:
     pdbs = sorted(Path(args.dataset).glob("*.pdb"))
     if not pdbs:
         raise _UsageError(f"no .pdb files in {args.dataset}")
-    model = _build_model(cfg, checkpoint=args.checkpoint)
-    struct_p, seq_p = _providers(cfg)
+    model, struct_p, seq_p = _model_and_priors(cfg, args.checkpoint)
     recycles = args.recycles if args.recycles is not None else cfg.model.recycles
 
     def one(path):
-        backbone = parse_pdb(path.read_text(), args.chain or cfg.data.chain)
+        backbone = parse_pdb(path.read_text(), args.chain)
         graph = build_knn_graph(backbone, cfg.features)
         result = recycle_infer(model, graph, struct_p, seq_p, recycles)
         ref = backbone.sequence
@@ -346,8 +350,7 @@ def cmd_theory(args) -> int:
 
     elif args.suite in ("contraction", "oversmoothing", "recycling"):
         from .synthetic import random_backbone
-        model = _build_model(cfg, checkpoint=args.checkpoint)
-        struct_p, seq_p = _providers(cfg)
+        model, struct_p, seq_p = _model_and_priors(cfg, args.checkpoint)
         if args.suite == "contraction":
             graphs = [build_knn_graph(random_backbone(cfg.seed, 24, name=f"theory{i}"),
                                       cfg.features) for i in range(args.graphs)]
@@ -410,7 +413,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train on a PDB directory or the synthetic corpus")
     p.add_argument("--corpus", default=None, help="directory of .pdb files (default: synthetic)")
-    p.add_argument("--chain", default=None)
+    p.add_argument("--chain", default="A")
     p.add_argument("--out-dir", default=None)
     _add_common(p)
     p.set_defaults(fn=cmd_train)
@@ -433,7 +436,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="batch inference + metrics CSV")
     p.add_argument("--dataset", required=True, help="directory of .pdb (+ optional .fasta)")
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--chain", default=None)
+    p.add_argument("--chain", default="A")
     p.add_argument("--recycles", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--jobs", type=int, default=1)
@@ -462,7 +465,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (_UsageError, FileNotFoundError, InvalidParameter, MemoryError) as exc:
+    except (_UsageError, OSError, InvalidParameter, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConfigError as exc:

@@ -1,5 +1,7 @@
-"""Exception hierarchy shared across the package, and the size check
-that the config records share."""
+"""Exception hierarchy shared across the package, and the size and
+number checks that the config records share."""
+
+import numbers
 
 
 class InvfoldError(Exception):
@@ -32,6 +34,19 @@ def check_count(record, name: str, low: int) -> None:
     value = getattr(record, name)
     if isinstance(value, bool) or not hasattr(value, "__index__") or not low <= value < 2**31:
         raise InvalidParameter(f"{name} must be an integer in [{low}, 2**31), got {value!r}")
+
+
+def check_number(record, name: str, low: float, high: float, bounds: str = "[]") -> None:
+    """InvalidParameter unless record.<name> is a real number (not a bool)
+    between low and high; `bounds` gives the brackets, "[)" for a
+    half-open interval. NaN is never inside."""
+    value = getattr(record, name)
+    inside = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+              and (low <= value if bounds[0] == "[" else low < value)
+              and (value <= high if bounds[1] == "]" else value < high))
+    if not inside:
+        raise InvalidParameter(f"{name} must be a number in {bounds[0]}{low}, {high}{bounds[1]}, "
+                               f"got {value!r}")
 
 
 class DegenerateFrame(InvfoldError):

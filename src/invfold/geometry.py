@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .containers import checked, pack, unpack
-from .errors import DegenerateFrame, GraphTooSmall, InvalidParameter, ParseError, check_count
+from .errors import (DegenerateFrame, GraphTooSmall, InvalidParameter, ParseError, check_count,
+                     check_number)
 from .structure_io import ProteinBackbone
 
 _GRAPH_MAGIC = b"IFG1"
@@ -56,10 +57,7 @@ class FeatureConfig:
                           ("ss_classes", 1)):
             check_count(self, name, low)
         for name in ("rbf_min", "rbf_max"):  # Å; the bound keeps (d - c)^2 / sigma^2 finite
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float, np.number))
-                    or not abs(value) <= 1e6):
-                raise InvalidParameter(f"{name} must be a number in [-1e6, 1e6], got {value!r}")
+            check_number(self, name, -10**6, 10**6)
         if not self.rbf_min < self.rbf_max:
             raise InvalidParameter("rbf_min must be < rbf_max")
         for name in ("use_intra_rbf", "use_dihedrals", "use_secondary_structure",

@@ -119,7 +119,7 @@ def load_checkpoint(path):
                               CheckpointMismatch, "checkpoint file")
     with checked(CheckpointMismatch, "checkpoint manifest"):
         arrays = {e["name"]: b.astype(np.float64) for e, b in zip(manifest["params"], blocks)}
-        return arrays, manifest.get("meta", {})
+        return arrays, dict(manifest.get("meta", {}))
 
 
 def restore_parameters(params: dict, arrays: dict) -> None:

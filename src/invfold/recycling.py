@@ -29,7 +29,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .containers import pack, unpack
 from .encoder import LayerState, StackParams, encoder_stack
-from .errors import InvalidParameter, ShapeError, check_count
+from .errors import InvalidParameter, ShapeError, check_count, check_number
 from .geometry import ResidueGraph
 from .nn import ACTIVATIONS, Linear, MlpBlock
 from .rng import RandomStream
@@ -242,8 +242,7 @@ class ModelConfig:
         if not isinstance(self.share_stage_params, (bool, np.bool_)):
             raise InvalidParameter(f"share_stage_params must be true or false, "
                                    f"got {self.share_stage_params!r}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise InvalidParameter(f"dropout must be in [0, 1), got {self.dropout!r}")
+        check_number(self, "dropout", 0, 1, "[)")
         if self.activation not in ACTIVATIONS:
             raise InvalidParameter(f"unknown activation {self.activation!r}")
         if self.pool_mode not in ("channel", "scalar"):

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import EmptyLoss, InvalidParameter, ShapeError, TrainingDiverged
+from .errors import (EmptyLoss, InvalidParameter, ShapeError, TrainingDiverged, check_count,
+                     check_number)
 from .geometry import FeatureConfig, build_knn_graph
 from .recycling import (
     InverseFoldModel,
@@ -47,22 +48,28 @@ class TrainConfig:
     batch_size: int = 1
     epochs: int = 100
     max_steps: int | None = 2000  # step-driven run length; None falls back to epochs
-    early_stop_patience: int = 10
+    early_stop_patience: int = 10  # 0 never stops early
     eval_every: int = 200
     noise_sigma: float = 0.02
-    dropout: float = 0.1
+    dropout: float = ModelConfig.dropout  # train_toy's default model; runs pass model.dropout
     val_fraction: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0 or self.warmup_steps < 0 or self.batch_size < 1:
-            raise InvalidParameter("lr, warmup_steps, batch_size must be positive")
-        if self.noise_sigma < 0 or not 0 <= self.dropout < 1:
-            raise InvalidParameter("noise_sigma must be >= 0 and dropout in [0, 1)")
+        for name, low in (("warmup_steps", 0), ("batch_size", 1), ("epochs", 1),
+                          ("early_stop_patience", 0), ("eval_every", 1)):
+            check_count(self, name, low)
+        if self.max_steps is not None:
+            check_count(self, "max_steps", 1)
+        if self.epochs > 100:
+            raise InvalidParameter(f"epochs must lie in [1, 100], got {self.epochs!r}")
+        check_number(self, "lr", 0, math.inf, "()")
+        for name in ("weight_decay", "grad_clip_norm", "noise_sigma"):  # a 0 clip norm never clips
+            check_number(self, name, 0, math.inf, "[)")
+        for name in ("dropout", "val_fraction"):
+            check_number(self, name, 0, 1, "[)")
         if self.schedule not in ("cosine", "constant"):
             raise InvalidParameter(f"unknown schedule {self.schedule!r}")
-        if self.epochs < 1 or self.epochs > 100:
-            raise InvalidParameter("epochs must lie in [1, 100]")
 
 
 @dataclass
@@ -272,6 +279,9 @@ def train_toy(corpus, cfg: TrainConfig, model_cfg: ModelConfig | None = None,
     n_val = int(round(cfg.val_fraction * len(corpus))) if len(corpus) >= 2 else 0
     val_ids = sorted(perm[:n_val].tolist())
     train_ids = sorted(perm[n_val:].tolist())
+    if not train_ids:
+        raise InvalidParameter(f"val_fraction {cfg.val_fraction} holds out all {len(corpus)} "
+                               "proteins; none is left to train on")
 
     model = InverseFoldModel(model_cfg, seed=cfg.seed)
     params = model.parameters()

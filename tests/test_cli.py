@@ -1,7 +1,6 @@
 """End-to-end command-line behavior and the exit-code contract."""
 
 import copy
-import dataclasses
 import io
 import json
 import os
@@ -17,8 +16,8 @@ from hypothesis import strategies as st
 
 import invfold
 from invfold.cli import main
-from invfold.config import ModelSettings
-from invfold.geometry import FeatureConfig, read_graph
+from invfold.config import RunConfig, config_to_dict
+from invfold.geometry import read_graph
 from invfold.structure_io import read_fasta_file
 
 TINY_CONFIG = {
@@ -150,11 +149,45 @@ class TestConfig:
         def too_big(*args, **kwargs):
             raise MemoryError("Unable to allocate 8.01 TiB for an array")
 
-        monkeypatch.setattr("invfold.cli._build_model", too_big)
+        monkeypatch.setattr("invfold.cli._model_and_priors", too_big)
         code = main(["infer", "--pdb", pdb_file, "--chain", "A", "--config", tiny_config])
         err = capsys.readouterr().err
         assert code == 1
         assert err.strip().splitlines() == ["error: Unable to allocate 8.01 TiB for an array"]
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "dropout", 0.5), ("train", "seed", 3), ("data", "corpus_dir", None),
+        ("priors", "provider_seed", 0), ("data", "chain", "A")])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, section, key, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**TINY_CONFIG,
+                                    section: {**TINY_CONFIG.get(section, {}), key: value}}))
+        assert main(["train", "--config", str(path), "--out-dir", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [f"config error: unknown key {section}.{key!r}"]
+
+    @pytest.mark.parametrize("train", [
+        {"val_fraction": 1.0}, {"val_fraction": -0.2}, {"eval_every": 0}, {"batch_size": 1.5},
+        {"grad_clip_norm": "x"}, {"max_steps": -3}])
+    def test_ill_typed_train_setting_is_a_config_error(self, tmp_path, capsys, train):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**TINY_CONFIG, "train": {**TINY_CONFIG["train"], **train}}))
+        assert main(["train", "--config", str(path), "--out-dir", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error: invalid train section")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_prior_path_that_is_a_directory_exits_1(self, tmp_path, capsys, pdb_file, via):
+        path = tmp_path / "c.json"
+        priors = {**TINY_CONFIG["priors"], "structure_provider": str(tmp_path)}
+        path.write_text(json.dumps({**TINY_CONFIG, "priors": priors} if via == "config"
+                                   else TINY_CONFIG))
+        extra = ["--struct-prior", str(tmp_path)] if via == "flag" else []
+        assert main(["infer", "--pdb", pdb_file, "--config", str(path)] + extra) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
     def test_riga_seed_env_fallback(self, monkeypatch, capsys):
         monkeypatch.setenv("RIGA_SEED", "77")
@@ -312,29 +345,108 @@ class TestHelp:
 ODD_VALUES = st.one_of(
     st.just(0), st.integers(max_value=-1), st.integers(min_value=2**31), st.floats(),
     st.text(max_size=6), st.lists(st.integers(), max_size=3), st.none(), st.booleans())
-CONFIG_KEYS = ([("features", f.name) for f in dataclasses.fields(FeatureConfig)]
-               + [("model", f.name) for f in dataclasses.fields(ModelSettings)])
+# every key of every section, and the top-level seed
+CONFIG_KEYS = [("seed",)] + [(section, key)
+                             for section, values in config_to_dict(RunConfig()).items()
+                             if isinstance(values, dict) for key in values]
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(where=st.sampled_from(CONFIG_KEYS), value=ODD_VALUES)
 def test_odd_config_values_exit_cleanly(tmp_path_factory, where, value):
-    """Any JSON value in any features or model key: featurize and infer on
-    a tiny chain exit 0, or 1 with one line on stderr; nothing escapes."""
+    """Any JSON value in any config key: featurize and infer on a tiny
+    chain exit 0, or 1 with one line on stderr; nothing escapes. A train
+    or data key only has to load (a valid max_steps can make a run
+    arbitrarily long), so featurize alone checks those."""
     tmp = tmp_path_factory.mktemp("odd")
     pdb = write_chain_pdb(tmp / "chain.pdb", 14)
     raw = copy.deepcopy(TINY_CONFIG)
-    raw[where[0]][where[1]] = value
+    section = raw if len(where) == 1 else raw.setdefault(where[0], {})
+    section[where[-1]] = value
     config = tmp / "c.json"
     config.write_text(json.dumps(raw))
-    for argv in (["featurize", pdb, "--chain", "A", "--out", str(tmp / "g.ifg")],
-                 ["infer", "--pdb", pdb, "--chain", "A"]):
+    runs = [["featurize", pdb, "--chain", "A", "--out", str(tmp / "g.ifg")]]
+    if where[0] not in ("train", "data"):
+        runs.append(["infer", "--pdb", pdb, "--chain", "A"])
+    for argv in runs:
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = main(argv + ["--config", str(config)])
         assert code in (0, 1), (argv[0], where, value, err.getvalue())
         assert len(err.getvalue().strip().splitlines()) == code, (argv[0], where, value)
         assert "Traceback" not in err.getvalue()
+
+
+class TestSeedGuard:
+    """Stub priors take the run seed, so a checkpoint meets the priors it
+    was trained with only under the seed it records."""
+
+    @pytest.fixture
+    def trained(self, tmp_path, tiny_config):
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        for i, n in enumerate((12, 14)):
+            write_chain_pdb(dataset / f"p{i}.pdb", n, seed=60 + i)
+        out = tmp_path / "run"
+        assert main(["train", "--config", tiny_config, "--seed", "3", "--corpus", str(dataset),
+                     "--out-dir", str(out)]) == 0
+        return dataset, out / "checkpoint.ifc"
+
+    def test_infer_under_the_training_seed_matches_the_api(self, tmp_path, tiny_config, trained):
+        from invfold.config import load_config
+        from invfold.geometry import build_knn_graph
+        from invfold.nn import load_checkpoint, restore_parameters
+        from invfold.recycling import (
+            InverseFoldModel, StubSequenceProvider, StubStructureProvider, recycle_infer)
+        from invfold.structure_io import parse_pdb
+        dataset, ckpt = trained
+        pdb, dist = dataset / "p1.pdb", tmp_path / "dist.json"
+        assert main(["infer", "--pdb", str(pdb), "--config", tiny_config, "--seed", "3",
+                     "--checkpoint", str(ckpt), "--out-dist", str(dist)]) == 0
+        cfg = load_config(tiny_config)
+        model = InverseFoldModel(cfg.model, seed=3)
+        restore_parameters(model.parameters(), load_checkpoint(ckpt)[0])
+        graph = build_knn_graph(parse_pdb(pdb.read_text(), "A"), cfg.features)
+        result = recycle_infer(model, graph, StubStructureProvider(dim=8, seed=3),
+                               StubSequenceProvider(dim=8, seed=3), cfg.model.recycles)
+        probs = json.loads(dist.read_text())["probs"]
+        assert len(probs) == len(result.distributions) == 2
+        for stage, d in zip(probs, result.distributions):
+            assert np.array_equal(np.array(stage), d.probs)
+
+    @pytest.mark.parametrize("command", ["infer", "eval", "theory"])
+    def test_another_seed_exits_3(self, tmp_path, tiny_config, trained, monkeypatch, capsys,
+                                  command):
+        monkeypatch.delenv("RIGA_SEED", raising=False)
+        dataset, ckpt = trained
+        argv = {"infer": ["infer", "--pdb", str(dataset / "p0.pdb")],
+                "eval": ["eval", "--dataset", str(dataset), "--out", str(tmp_path / "m.csv")],
+                "theory": ["theory", "--suite", "recycling"]}[command]
+        capsys.readouterr()
+        assert main(argv + ["--config", tiny_config, "--checkpoint", str(ckpt)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "seed 3" in err[0] and "seed 0" in err[0]
+
+    def test_file_priors_or_an_unrecorded_seed_pass(self, tmp_path, tiny_config, trained,
+                                                    monkeypatch):
+        from invfold.config import load_config
+        from invfold.nn import save_checkpoint
+        from invfold.recycling import InverseFoldModel, write_embeddings
+        monkeypatch.delenv("RIGA_SEED", raising=False)
+        dataset, ckpt = trained
+        pdb = str(dataset / "p0.pdb")
+        priors = []
+        for name in ("s.ife", "q.ife"):
+            write_embeddings(tmp_path / name, np.ones((12, 8)), "test")
+            priors.append(str(tmp_path / name))
+        assert main(["infer", "--pdb", pdb, "--config", tiny_config, "--checkpoint", str(ckpt),
+                     "--struct-prior", priors[0], "--seq-prior", priors[1]]) == 0
+        assert main(["infer", "--pdb", pdb, "--config", tiny_config, "--checkpoint", str(ckpt),
+                     "--struct-prior", priors[0]]) == 3
+        bare = tmp_path / "bare.ifc"
+        save_checkpoint(InverseFoldModel(load_config(tiny_config).model).parameters(), bare)
+        assert main(["infer", "--pdb", pdb, "--config", tiny_config, "--checkpoint", str(bare),
+                     "--seed", "5"]) == 0
 
 
 class TestAggregate:
@@ -365,9 +477,9 @@ class TestAggregate:
 
         # hand aggregation: residue-weighted mean cross-entropy over both proteins
         cfg = load_config(tiny_config)
-        model = InverseFoldModel(cfg.model_config(), seed=cfg.seed)
-        sp = StubStructureProvider(dim=cfg.priors.struct_dim, seed=cfg.priors.provider_seed)
-        qp = StubSequenceProvider(dim=cfg.priors.seq_dim, seed=cfg.priors.provider_seed)
+        model = InverseFoldModel(cfg.model, seed=cfg.seed)
+        sp = StubStructureProvider(dim=cfg.priors.struct_dim, seed=cfg.seed)
+        qp = StubSequenceProvider(dim=cfg.priors.seq_dim, seed=cfg.seed)
         total_ce, total_n = 0.0, 0
         for idx in range(2):
             from invfold.structure_io import parse_pdb
@@ -462,7 +574,7 @@ class TestMalformedInput:
             return path, ["infer", "--features", str(path)]
         cfg = load_config(tiny_config)
         if suffix == ".ifc":
-            model = InverseFoldModel(cfg.model_config(), seed=cfg.seed)
+            model = InverseFoldModel(cfg.model, seed=cfg.seed)
             save_checkpoint(model.parameters(), path)
             return path, ["infer", "--pdb", pdb_file, "--checkpoint", str(path)]
         rows = np.ones((14, cfg.priors.struct_dim))

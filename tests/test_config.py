@@ -66,9 +66,45 @@ def test_repo_default_file_loads():
     assert cfg.train.max_steps == 2000
 
 
+def test_shipped_config_is_the_schema():
+    """configs/default.json holds every key of the schema at its default,
+    and no other key."""
+    with open("configs/default.json") as fh:
+        assert json.load(fh) == config_to_dict(RunConfig())
+
+
+def test_derived_fields_follow_their_sections():
+    cfg = config_from_dict({"seed": 7, "features": {"rbf_count": 4},
+                            "priors": {"struct_dim": 8, "seq_dim": 6},
+                            "model": {"dropout": 0.3}})
+    assert (cfg.model.node_dim, cfg.model.edge_dim) == (cfg.features.node_dim,
+                                                        cfg.features.edge_dim)
+    assert (cfg.model.struct_dim, cfg.model.seq_dim) == (8, 6)
+    assert (cfg.train.seed, cfg.train.dropout) == (7, 0.3)
+
+
+@pytest.mark.parametrize("raw", [{"model": {"node_dim": 9}}, {"model": {"struct_dim": 8}},
+                                 {"train": {"seed": 1}}, {"train": {"dropout": 0.2}},
+                                 {"priors": {"provider_seed": 0}}, {"data": {"chain": "B"}},
+                                 {"data": {"corpus_dir": None}}])
+def test_keys_with_another_home_are_unknown(raw):
+    with pytest.raises(ConfigError, match="unknown key"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("raw", [{"seed": True}, {"seed": 2.7}, {"seed": "5"}, {"seed": None},
+                                 {"priors": {"structure_provider": 5}},
+                                 {"priors": {"sequence_provider": ["a"]}},
+                                 {"priors": {"struct_dim": -1}}, {"priors": {"seq_dim": 1.0}},
+                                 {"data": {"out_dir": None}}])
+def test_ill_typed_seed_priors_and_data_are_config_errors(raw):
+    with pytest.raises(ConfigError):
+        config_from_dict(raw)
+
+
 def test_model_config_assembly():
     cfg = RunConfig()
-    mc = cfg.model_config()
+    mc = cfg.model
     assert mc.node_dim == cfg.features.node_dim
     assert mc.edge_dim == cfg.features.edge_dim
     assert mc.struct_dim == 512 and mc.seq_dim == 320
@@ -95,7 +131,7 @@ def test_zero_layers_is_legal():
     cfg = config_from_dict({"features": {"k": 6, "rbf_count": 4},
                             "model": {"layers": 0, "hidden_dim": 8, "heads": 2},
                             "priors": {"struct_dim": 4, "seq_dim": 4}})
-    model = InverseFoldModel(cfg.model_config(), seed=0)
+    model = InverseFoldModel(cfg.model, seed=0)
     graph = build_knn_graph(random_backbone(3, 10), cfg.features)
     result = recycle_infer(model, graph, StubStructureProvider(dim=4, seed=0),
                            StubSequenceProvider(dim=4, seed=0), 2)

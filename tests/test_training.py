@@ -286,6 +286,12 @@ class TestTrainToy:
         with pytest.raises(InvalidParameter):
             train_toy([], tiny_cfg)
 
+    def test_split_without_a_training_protein(self, tiny_model_cfg):
+        fc, mc = tiny_model_cfg
+        corpus = toy_corpus(0, lengths=(12, 13, 14, 15, 16))
+        with pytest.raises(InvalidParameter, match="none is left to train on"):
+            train_toy(corpus, TrainConfig(val_fraction=0.95), model_cfg=mc, feature_cfg=fc)
+
     def test_checkpoint_round_trip(self, tmp_path, tiny_cfg, tiny_model_cfg):
         from invfold.nn import load_checkpoint, restore_parameters, save_checkpoint
         from invfold.recycling import InverseFoldModel
