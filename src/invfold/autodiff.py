@@ -300,29 +300,27 @@ def linear(x, w, b=None) -> Tensor:
 EDGE_ROWS = 512
 
 
-def edge_mlp(h, e, neighbors, w1, b1, w2, b2, activation: str, keep=None,
-             scale: float = 1.0) -> Tensor:
-    """Residual per-edge MLP: e_ji + act([h_i || h_j || e_ji] w1 + b1) w2 + b2.
+def edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep=None, scale: float = 1.0) -> Tensor:
+    """Residual per-edge MLP: e_ji + gelu([h_i || h_j || e_ji] w1 + b1) w2 + b2.
 
     h: (n, d) node states, e: (n, k, d_e) edge states, neighbors: (n, k)
     sender indices; w1 holds d receiver, d sender and d_e edge rows in
-    that order, and w2 maps the hidden width back to d_e. `activation` is
-    "gelu" or "relu". With a boolean `keep` of the hidden shape (n, k, d_h)
-    the hidden activation is multiplied by `keep * scale` (inverted
-    dropout).
+    that order, and w2 maps the hidden width back to d_e. With a boolean
+    `keep` of the hidden shape (n, k, d_h) the hidden activation is
+    multiplied by `keep * scale` (inverted dropout).
 
     The wide concatenation never exists: the node segments of w1 run as
     (n, d) GEMMs whose rows are broadcast (receiver) or gathered (sender)
     onto the edges. The forward runs over blocks of receivers, about
-    EDGE_ROWS edges each: the edge GEMM, the node terms and b1, the
-    activation, the dropout multiply, the second GEMM, b2 and the
+    EDGE_ROWS edges each: the edge GEMM, the node terms and b1, GELU,
+    the dropout multiply, the second GEMM, b2 and the
     residual all touch a block while it is in cache, and only the output
     is allocated per edge. On a tape the op also keeps the pre-activation
     (one (n, k, d_h) array) and the mask; backward runs on whole arrays,
-    computes the activation's value and slope from the pre-activation
+    computes GELU's value and slope from the pre-activation
     once, and sums the sender gradient with `scatter_rows`. Values and
     gradients come from the same expressions as the separate ops (node
-    and edge GEMMs, adds, activation, dropout, linear, residual add), so
+    and edge GEMMs, adds, gelu, dropout, linear, residual add), so
     their bits are the same.
     """
     h, e, w1, b1, w2, b2 = (as_tensor(t) for t in (h, e, w1, b1, w2, b2))
@@ -332,7 +330,6 @@ def edge_mlp(h, e, neighbors, w1, b1, w2, b2, activation: str, keep=None,
     d_h = w1d.shape[1]
     w_self, w_nbr, w_edge = w1d[:d], w1d[d:2 * d], w1d[2 * d:]
     node_self, node_nbr = hd @ w_self, hd @ w_nbr
-    act_into, act_parts = _EDGE_ACTIVATIONS[activation]
     inputs = (h, e, w1, b1, w2, b2)
     taped = grad_enabled() and any(t.requires_grad for t in inputs)
 
@@ -350,7 +347,7 @@ def edge_mlp(h, e, neighbors, w1, b1, w2, b2, activation: str, keep=None,
         z += node_self[r0:r1, None, :]
         z += node_nbr[neighbors[r0:r1]]
         z += b1.data
-        act_into(z, a, scratch[:r1 - r0])
+        _gelu_into(z, a, scratch[:r1 - r0])
         if keep is not None:
             a *= keep[r0:r1]
             a *= scale
@@ -369,7 +366,7 @@ def edge_mlp(h, e, neighbors, w1, b1, w2, b2, activation: str, keep=None,
         # dropout, computed once per backward and shared by the VJPs;
         # the w2 VJP pops the value, which nothing else reads
         if not memo:
-            value, slope = act_parts(pre)
+            value, slope = _gelu_value_slope(pre)
             g_hid = (g.reshape(-1, d_e) @ w2d.T).reshape(n, k, d_h)
             if keep is not None:
                 mask = keep * scale
@@ -536,12 +533,6 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
     return _make(a.data.sum(axis=axis, keepdims=keepdims), [(a, vjp)], "sum")
 
 
-def tmean(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
-    count = a.size if axis is None else a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.data)
@@ -559,18 +550,6 @@ def sigmoid(a) -> Tensor:
     x = a.data
     out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
     return _make(out, [(a, lambda g: g * out * (1.0 - out))], "sigmoid")
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-    return _make(out, [(a, lambda g: g * (1.0 - out * out))], "tanh")
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    x = a.data
-    return _make(np.maximum(x, 0.0), [(a, lambda g: g * (x > 0))], "relu")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -611,14 +590,6 @@ def _gelu_value_slope(x):
     return _gelu_value(parts), _gelu_slope(parts)
 
 
-def _relu_into(x, out, _):
-    np.maximum(x, 0.0, out=out)
-
-
-def _relu_value_slope(x):
-    return np.maximum(x, 0.0), x > 0
-
-
 def gelu(a) -> Tensor:
     """tanh-approximation GELU. The tape keeps only the input; backward
     recomputes the tanh from it (the same expressions, so the same bits)."""
@@ -626,14 +597,6 @@ def gelu(a) -> Tensor:
     x = a.data
     return _make(_gelu_value(_gelu_parts(x)),
                  [(a, lambda g: g * _gelu_slope(_gelu_parts(x)))], "gelu")
-
-
-# activation name -> (forward of one block into a buffer, whole-array
-# (value, slope) for backward), as `edge_mlp` uses them
-_EDGE_ACTIVATIONS = {
-    "gelu": (_gelu_into, _gelu_value_slope),
-    "relu": (_relu_into, _relu_value_slope),
-}
 
 
 def softmax(a, axis=-1) -> Tensor:

@@ -4,7 +4,8 @@ Subcommands: featurize, train, infer, eval, theory. Every run is
 deterministic under --seed (fallback order: flag, config file, the
 RIGA_SEED environment variable, 0), which also seeds the stub priors;
 a checkpoint trained under another seed exits 3 when a prior is a
-stub. Exit codes: 0 success, 1 usage, missing input or invalid config,
+stub, and one trained under other feature or model-shape settings
+exits 3. Exit codes: 0 success, 1 usage, missing input or invalid config,
 2 parse failure, 3 numeric/dimension failure. A corrupt binary
 container exits 2 (backbone, graph, attention dump) or 3 (checkpoint,
 embedding file); docs/formats.md lists which.
@@ -17,11 +18,12 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import theory as theory_mod
 from .autodiff import no_grad
-from .config import RunConfig, load_config
+from .config import RunConfig, config_to_dict, load_config
 from .errors import (
     ChainNotFound,
     CheckpointMismatch,
@@ -88,6 +90,31 @@ def _load_cfg(args) -> RunConfig:
     return cfg
 
 
+def _defining_settings(cfg: RunConfig) -> dict:
+    """The config sections that fix what a trained model computes: every
+    feature setting, and the model settings but the dropout rate and the
+    stage count."""
+    sections = config_to_dict(cfg)
+    model = {k: v for k, v in sections["model"].items() if k not in ("dropout", "recycles")}
+    return {"features": sections["features"], "model": model}
+
+
+def _check_defining_settings(checkpoint, meta: dict, cfg: RunConfig) -> None:
+    """CheckpointMismatch naming the first setting that the checkpoint
+    records with another value than the run's config. A checkpoint that
+    records none of them is not checked."""
+    current = _defining_settings(cfg)
+    for section in current:
+        recorded = meta.get(section, {})
+        if not isinstance(recorded, dict):
+            raise CheckpointMismatch(f"{checkpoint}: meta.{section} is not an object")
+        for key, value in recorded.items():
+            if current[section].get(key) != value:
+                raise CheckpointMismatch(
+                    f"{checkpoint} was trained with {section}.{key} = {value!r} but this run's "
+                    f"config has {current[section].get(key)!r}")
+
+
 def _model_and_priors(cfg: RunConfig, checkpoint=None, struct_arg=None, seq_arg=None):
     """The model (restored from `checkpoint` if given) and its two priors.
     A stub prior takes the run seed, so a checkpoint trained under another
@@ -97,6 +124,7 @@ def _model_and_priors(cfg: RunConfig, checkpoint=None, struct_arg=None, seq_arg=
     model = InverseFoldModel(cfg.model, seed=cfg.seed)
     if checkpoint is not None:
         arrays, meta = load_checkpoint(checkpoint)
+        _check_defining_settings(checkpoint, meta, cfg)
         trained_seed = meta.get("seed")
         if "stub" in (struct_sel, seq_sel) and trained_seed not in (None, cfg.seed):
             raise CheckpointMismatch(
@@ -170,6 +198,7 @@ def cmd_train(args) -> int:
     save_checkpoint(result.model.parameters(), ckpt,
                     meta={"seed": cfg.seed, "rng": cfg.rng,
                           "recycles": cfg.model.recycles,
+                          **_defining_settings(cfg),
                           "stopped_step": result.stopped_step,
                           "stopped_early": result.stopped_early})
     write_metrics_csv(result.log_rows, out_dir / "metrics.csv")
@@ -238,6 +267,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _load_cfg(args)
     pdbs = sorted(Path(args.dataset).glob("*.pdb"))
     if not pdbs:
@@ -265,22 +296,15 @@ def cmd_eval(args) -> int:
         return {"protein": path.stem, "n": graph.n, "scored": n_scored,
                 "recovery": m.recovery, "ppl": m.perplexity}
 
-    rows = []
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(one, p) for p in pdbs]
-            for path, fut in zip(pdbs, futures):
-                try:
-                    rows.append(fut.result())
-                except InvfoldError as exc:
-                    rows.append({"protein": path.stem, "error": str(exc)})
-    else:
-        for path in pdbs:
-            try:
-                rows.append(one(path))
-            except InvfoldError as exc:
-                rows.append({"protein": path.stem, "error": str(exc)})
+    def row(path):
+        # a protein that fails becomes an error row; the others still run
+        try:
+            return one(path)
+        except InvfoldError as exc:
+            return {"protein": path.stem, "error": str(exc)}
+
+    with ThreadPoolExecutor(max_workers=min(args.jobs, len(pdbs))) as pool:
+        rows = list(pool.map(row, pdbs))
 
     scored = [r for r in rows if "error" not in r]
     lines = ["protein,n,recovery,ppl,error"]
@@ -439,7 +463,7 @@ def build_parser() -> _Parser:
     p.add_argument("--chain", default="A")
     p.add_argument("--recycles", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker threads, at least 1")
     _add_common(p)
     p.set_defaults(fn=cmd_eval)
 

@@ -73,16 +73,13 @@ class AttentionParams:
 class BridgeParams:
     """Weights of the global-context block."""
 
-    def __init__(self, d, stream, pool_mode="channel", activation="gelu", dropout=0.0):
-        if pool_mode not in ("channel", "scalar"):
-            raise InvalidParameter(f"unknown pool mode {pool_mode!r}")
+    def __init__(self, d, stream, dropout=0.0):
         self.d = d
-        self.pool_mode = pool_mode
         self.w_att = Linear(d, d, stream.child("att"), bias=False)
         self.w_val = Linear(d, d, stream.child("val"), bias=False)
-        self.mlp_up = MlpBlock((2 * d, d, d), stream.child("up"), activation, dropout)
-        self.mlp_in = MlpBlock((d, d, d), stream.child("in"), activation, dropout)
-        self.mlp_out = MlpBlock((d, d, d), stream.child("out"), activation, dropout)
+        self.mlp_up = MlpBlock((2 * d, d, d), stream.child("up"), dropout)
+        self.mlp_in = MlpBlock((d, d, d), stream.child("in"), dropout)
+        self.mlp_out = MlpBlock((d, d, d), stream.child("out"), dropout)
 
     def parameters(self, prefix):
         params = {}
@@ -95,10 +92,10 @@ class BridgeParams:
 
 
 class LayerParams:
-    def __init__(self, d, d_e, heads, stream, activation="gelu", dropout=0.0, pool_mode="channel"):
+    def __init__(self, d, d_e, heads, stream, dropout=0.0):
         self.attention = AttentionParams(d, d_e, heads, stream.child("attn"))
-        self.edge_mlp = MlpBlock((2 * d + d_e, d_e, d_e), stream.child("edge"), activation, dropout)
-        self.bridge = BridgeParams(d, stream.child("bridge"), pool_mode, activation, dropout)
+        self.edge_mlp = MlpBlock((2 * d + d_e, d_e, d_e), stream.child("edge"), dropout)
+        self.bridge = BridgeParams(d, stream.child("bridge"), dropout)
         self.norm = LayerNorm(d)
         self.dropout = dropout
 
@@ -112,13 +109,10 @@ class LayerParams:
 
 
 class StackParams:
-    def __init__(self, d, d_e, heads, depth, stream, activation="gelu", dropout=0.0,
-                 pool_mode="channel"):
+    def __init__(self, d, d_e, heads, depth, stream, dropout=0.0):
         self.depth = depth
-        self.layers = [
-            LayerParams(d, d_e, heads, stream.child(f"layer{i}"), activation, dropout, pool_mode)
-            for i in range(depth)
-        ]
+        self.layers = [LayerParams(d, d_e, heads, stream.child(f"layer{i}"), dropout)
+                       for i in range(depth)]
         self.final_norm = LayerNorm(d) if depth > 0 else None
 
     def parameters(self, prefix="stack"):
@@ -167,25 +161,20 @@ def edge_update(h: Tensor, e: Tensor, neighbors: np.ndarray, mlp: MlpBlock,
     if training and mlp.dropout > 0.0:
         keep = stream.child("drop0").keep_mask(e.shape[:2] + first.w.shape[1:], mlp.dropout)
         scale = 1.0 / (1.0 - mlp.dropout)
-    return ad.edge_mlp(h, e, neighbors, first.w, first.b, second.w, second.b,
-                       mlp.activation, keep, scale)
+    return ad.edge_mlp(h, e, neighbors, first.w, first.b, second.w, second.b, keep, scale)
 
 
 def global_context_bridge(h_local: Tensor, params: BridgeParams,
                           training=False, stream=None) -> Tensor:
     """Attention-pooled global vector injected through two sigmoid gates.
 
-    s_i = W_att h_i; alpha normalizes exp(s) over nodes (per feature
-    channel by default, a single scalar per node in "scalar" mode);
-    g = sum_i alpha_i * (W_val h_i); u_i = MLP_up(h_i || g);
+    s_i = W_att h_i; alpha normalizes exp(s) over nodes per feature
+    channel; g = sum_i alpha_i * (W_val h_i); u_i = MLP_up(h_i || g);
     z_i = u_i * sigmoid(MLP_in(h_i)); out_i = h_i * sigmoid(MLP_out(z_i)).
     """
     n = h_local.shape[0]
     s = params.w_att(h_local)                           # (n, d)
-    if params.pool_mode == "channel":
-        alpha = ad.softmax(s, axis=0)                   # per channel over nodes
-    else:
-        alpha = ad.softmax(ad.tmean(s, axis=1, keepdims=True), axis=0)  # (n, 1)
+    alpha = ad.softmax(s, axis=0)                       # per channel over nodes
     vals = params.w_val(h_local)
     g_pool = ad.tsum(ad.mul(alpha, vals), axis=0, keepdims=True)        # (1, d)
     g_rows = ad.tile_row(g_pool, n)                                     # (n, d)

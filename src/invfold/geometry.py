@@ -44,11 +44,6 @@ class FeatureConfig:
     rbf_count: int = 16
     rbf_min: float = 0.0
     rbf_max: float = 20.0
-    use_intra_rbf: bool = True
-    use_dihedrals: bool = True
-    use_secondary_structure: bool = True
-    use_orientations: bool = True
-    use_relative_position: bool = True
     relative_position_clamp: int = 32
     ss_classes: int = 10
 
@@ -60,30 +55,16 @@ class FeatureConfig:
             check_number(self, name, -10**6, 10**6)
         if not self.rbf_min < self.rbf_max:
             raise InvalidParameter("rbf_min must be < rbf_max")
-        for name in ("use_intra_rbf", "use_dihedrals", "use_secondary_structure",
-                     "use_orientations", "use_relative_position"):
-            if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise InvalidParameter(f"{name} must be true or false, got {getattr(self, name)!r}")
 
     @property
     def node_dim(self) -> int:
-        dim = 0
-        if self.use_intra_rbf:
-            dim += 6 * self.rbf_count
-        if self.use_dihedrals:
-            dim += 9
-        if self.use_secondary_structure:
-            dim += self.ss_classes + 1
-        return dim
+        """Intra-residue RBFs, dihedral sin/cos and masks, secondary structure."""
+        return 6 * self.rbf_count + 9 + self.ss_classes + 1
 
     @property
     def edge_dim(self) -> int:
-        dim = 16 * self.rbf_count
-        if self.use_orientations:
-            dim += 4
-        if self.use_relative_position:
-            dim += 2 * self.relative_position_clamp + 1
-        return dim
+        """Inter-residue RBFs, orientation quaternion, relative position."""
+        return 16 * self.rbf_count + 4 + 2 * self.relative_position_clamp + 1
 
 
 @dataclass
@@ -104,16 +85,30 @@ class ResidueGraph:
     mask: np.ndarray = field(default=None)  # True where the residue counts toward the loss
 
     def __post_init__(self):
-        """InvalidParameter unless the arrays agree with n, k and the layouts."""
+        """InvalidParameter unless n >= 2, 1 <= k <= n - 1, and the arrays and
+        header fields agree with n, k and the layouts."""
+        check_count(self, "n", 2)
+        check_count(self, "k", 1)
         n, k = self.n, self.k
+        if k > n - 1:
+            raise InvalidParameter(f"k = {k} needs at least {k + 1} residues, got n = {n}")
+        if not (isinstance(self.labels, list)
+                and all(isinstance(aa, str) and len(aa) == 1 for aa in self.labels)):
+            raise InvalidParameter("labels must be a list of one-character strings")
+        seq_index = np.asarray(self.seq_index)
+        if seq_index.shape != (n,) or seq_index.dtype.kind not in "iu":
+            raise InvalidParameter(f"seq_index must be ({n},) int, got {seq_index.shape} "
+                                   f"{seq_index.dtype}")
+        if not isinstance(self.chain_id, str):
+            raise InvalidParameter(f"chain_id must be a str, got {self.chain_id!r}")
         if self.mask is None:
             self.mask = np.array([aa != "X" for aa in self.labels], dtype=bool)
         nbr = np.asarray(self.neighbors)
         if nbr.shape != (n, k) or nbr.dtype.kind not in "iu":
             raise InvalidParameter(f"neighbors must be ({n}, {k}) int, got {nbr.shape} {nbr.dtype}")
-        if nbr.size and not 0 <= nbr.min() <= nbr.max() < n:
+        if not 0 <= nbr.min() <= nbr.max() < n:
             raise InvalidParameter(f"neighbor index outside [0, {n})")
-        for name in ("labels", "seq_index", "mask"):
+        for name in ("labels", "mask"):
             if len(getattr(self, name)) != n:
                 raise InvalidParameter(f"{name} has {len(getattr(self, name))} entries, not n = {n}")
         for name, feats, layout, lead in (("node", self.node_feats, self.node_layout, (n,)),
@@ -302,6 +297,17 @@ def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
     return q[0] if single else q
 
 
+def _assemble(blocks: dict):
+    """Concatenate named feature blocks along the last axis; returns the
+    features and their layout, one (family, offset, width) entry per
+    block in order."""
+    widths = [block.shape[-1] for block in blocks.values()]
+    offsets = itertools.accumulate(widths, initial=0)
+    layout = [{"family": family, "offset": offset, "width": width}
+              for family, offset, width in zip(blocks, offsets, widths)]
+    return np.concatenate(list(blocks.values()), axis=-1), layout
+
+
 def build_knn_graph(backbone: ProteinBackbone, cfg: FeatureConfig, ss=None) -> ResidueGraph:
     """Assemble the featurized k-NN residue graph.
 
@@ -324,89 +330,59 @@ def build_knn_graph(backbone: ProteinBackbone, cfg: FeatureConfig, ss=None) -> R
 
     atom_valid = backbone.present
 
-    node_blocks = []
-    node_layout = []
-    offset = 0
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    a_idx = np.array([p[0] for p in pairs])
+    b_idx = np.array([p[1] for p in pairs])
+    d = np.linalg.norm(coords[:, a_idx] - coords[:, b_idx], axis=-1)  # (n, 6)
+    intra = _rbf_array(d, cfg)  # (n, 6, rbf)
+    intra *= (atom_valid[:, a_idx] & atom_valid[:, b_idx])[..., None]
 
-    if cfg.use_intra_rbf:
-        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        a_idx = np.array([p[0] for p in pairs])
-        b_idx = np.array([p[1] for p in pairs])
-        d = np.linalg.norm(coords[:, a_idx] - coords[:, b_idx], axis=-1)  # (n, 6)
-        block = _rbf_array(d, cfg)  # (n, 6, rbf)
-        valid = atom_valid[:, a_idx] & atom_valid[:, b_idx]
-        block *= valid[..., None]
-        block = block.reshape(n, -1)
-        node_blocks.append(block)
-        node_layout.append({"family": "intra_rbf", "offset": offset, "width": block.shape[1]})
-        offset += block.shape[1]
+    angles, mask = dihedral_angles(backbone)
+    trig = np.zeros((n, 6))
+    trig[:, 0::2] = np.sin(angles) * mask
+    trig[:, 1::2] = np.cos(angles) * mask
 
-    if cfg.use_dihedrals:
-        angles, mask = dihedral_angles(backbone)
-        trig = np.zeros((n, 6))
-        trig[:, 0::2] = np.sin(angles) * mask
-        trig[:, 1::2] = np.cos(angles) * mask
-        block = np.concatenate([trig, mask.astype(np.float64)], axis=1)
-        node_blocks.append(block)
-        node_layout.append({"family": "dihedral", "offset": offset, "width": 9})
-        offset += 9
+    ss_onehot = np.zeros((n, cfg.ss_classes + 1))
+    if ss is None:
+        ss_onehot[:, cfg.ss_classes] = 1.0
+    else:
+        ss = np.asarray(ss, dtype=np.int64)
+        if ss.shape != (n,):
+            raise InvalidParameter(f"secondary-structure annotation must have shape ({n},)")
+        if np.any(ss < 0) or np.any(ss >= cfg.ss_classes):
+            raise InvalidParameter(f"secondary-structure classes must lie in [0, {cfg.ss_classes})")
+        ss_onehot[np.arange(n), ss] = 1.0
 
-    if cfg.use_secondary_structure:
-        width = cfg.ss_classes + 1
-        block = np.zeros((n, width))
-        if ss is None:
-            block[:, cfg.ss_classes] = 1.0
-        else:
-            ss = np.asarray(ss, dtype=np.int64)
-            if ss.shape != (n,):
-                raise InvalidParameter(f"secondary-structure annotation must have shape ({n},)")
-            if np.any(ss < 0) or np.any(ss >= cfg.ss_classes):
-                raise InvalidParameter(f"secondary-structure classes must lie in [0, {cfg.ss_classes})")
-            block[np.arange(n), ss] = 1.0
-        node_blocks.append(block)
-        node_layout.append({"family": "secondary_structure", "offset": offset, "width": width})
-        offset += width
-
-    node_feats = np.concatenate(node_blocks, axis=1) if node_blocks else np.zeros((n, 0))
-
-    edge_blocks = []
-    edge_layout = []
-    offset = 0
+    node_feats, node_layout = _assemble({
+        "intra_rbf": intra.reshape(n, -1),
+        "dihedral": np.concatenate([trig, mask.astype(np.float64)], axis=1),
+        "secondary_structure": ss_onehot,
+    })
 
     # 4x4 heavy-atom distances, receiver atom first.
     recv = coords[:, None, :, None, :]                # (n, 1, 4, 1, 3)
     send = coords[neighbors][:, :, None, :, :]        # (n, k', 1, 4, 3)
     d = np.linalg.norm(recv - send, axis=-1)          # (n, k', 4, 4)
-    block = _rbf_array(d, cfg)                        # (n, k', 4, 4, rbf)
+    inter = _rbf_array(d, cfg)                        # (n, k', 4, 4, rbf)
     pair_valid = atom_valid[:, None, :, None] & atom_valid[neighbors][:, :, None, :]
-    block *= pair_valid[..., None]
-    block = block.reshape(n, k_eff, -1)
-    edge_blocks.append(block)
-    edge_layout.append({"family": "inter_rbf", "offset": offset, "width": block.shape[2]})
-    offset += block.shape[2]
+    inter *= pair_valid[..., None]
 
-    if cfg.use_orientations:
-        basis, valid = local_frames(backbone)
-        rel = np.einsum("nab,nmcb->nmac", basis, basis[neighbors])
-        quat = rotation_to_quaternion(rel)            # (n, k', 4)
-        quat *= (valid[:, None] & valid[neighbors])[..., None]
-        edge_blocks.append(quat)
-        edge_layout.append({"family": "orientation", "offset": offset, "width": 4})
-        offset += 4
+    basis, valid = local_frames(backbone)
+    quat = rotation_to_quaternion(                    # (n, k', 4)
+        np.einsum("nab,nmcb->nmac", basis, basis[neighbors]))
+    quat *= (valid[:, None] & valid[neighbors])[..., None]
 
-    if cfg.use_relative_position:
-        clamp = cfg.relative_position_clamp
-        width = 2 * clamp + 1
-        pos = np.arange(n)
-        rel = np.clip(neighbors - pos[:, None], -clamp, clamp) + clamp
-        block = np.zeros((n, k_eff, width))
-        ii, mm = np.meshgrid(np.arange(n), np.arange(k_eff), indexing="ij")
-        block[ii, mm, rel] = 1.0
-        edge_blocks.append(block)
-        edge_layout.append({"family": "relative_position", "offset": offset, "width": width})
-        offset += width
+    clamp = cfg.relative_position_clamp
+    sep = np.clip(neighbors - np.arange(n)[:, None], -clamp, clamp) + clamp
+    relpos = np.zeros((n, k_eff, 2 * clamp + 1))
+    ii, mm = np.meshgrid(np.arange(n), np.arange(k_eff), indexing="ij")
+    relpos[ii, mm, sep] = 1.0
 
-    edge_feats = np.concatenate(edge_blocks, axis=2)
+    edge_feats, edge_layout = _assemble({
+        "inter_rbf": inter.reshape(n, k_eff, -1),
+        "orientation": quat,
+        "relative_position": relpos,
+    })
 
     return ResidueGraph(
         n=n,
@@ -452,7 +428,7 @@ def deserialize_graph(data: bytes) -> ResidueGraph:
             n=header["n"], k=header["k"], neighbors=nbr.astype(np.int32),
             node_feats=node.astype(np.float64), edge_feats=edge.astype(np.float64),
             node_layout=header["node_layout"], edge_layout=header["edge_layout"],
-            labels=header["labels"], seq_index=np.array(header["seq_index"], dtype=np.int32),
+            labels=header["labels"], seq_index=np.array(header["seq_index"]),
             chain_id=header["chain_id"])
 
 

@@ -18,8 +18,6 @@ from .rng import RandomStream
 
 _CKPT_MAGIC = b"IFC1"
 
-ACTIVATIONS = {"gelu": ad.gelu, "relu": ad.relu}
-
 
 def xavier_uniform(shape, stream: RandomStream) -> np.ndarray:
     fan_in, fan_out = shape[0], shape[-1]
@@ -57,22 +55,19 @@ class LayerNorm:
 
 
 class MlpBlock:
-    """Stack of Linear layers with an activation between them.
+    """Stack of Linear layers with GELU between them.
 
     `widths` lists every layer width including input and output, e.g.
-    (384, 128, 128) is two Linear layers with one hidden activation.
+    (384, 128, 128) is two Linear layers with one hidden GELU.
     Dropout, when enabled, applies to hidden activations only.
     """
 
-    def __init__(self, widths, stream, activation="gelu", dropout=0.0):
+    def __init__(self, widths, stream, dropout=0.0):
         if len(widths) < 2:
             raise InvalidParameter("MlpBlock needs at least two widths")
         if not 0.0 <= dropout < 1.0:
             raise InvalidParameter(f"dropout must be in [0, 1), got {dropout}")
-        if activation not in ACTIVATIONS:
-            raise InvalidParameter(f"unknown activation {activation!r}")
         self.widths = tuple(widths)
-        self.activation = activation
         self.dropout = dropout
         self.layers = [
             Linear(widths[i], widths[i + 1], stream.child(f"layer{i}"))
@@ -80,10 +75,9 @@ class MlpBlock:
         ]
 
     def __call__(self, x: Tensor, training=False, stream=None) -> Tensor:
-        act = ACTIVATIONS[self.activation]
         x = self.layers[0](x)
         for i, layer in enumerate(self.layers[1:], start=1):
-            x = act(x)
+            x = ad.gelu(x)
             if self.dropout > 0.0 and training:
                 x = ad.dropout(x, self.dropout, stream.child(f"drop{i - 1}"), training)
             x = layer(x)

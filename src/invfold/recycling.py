@@ -11,7 +11,7 @@ embeddings exported out-of-band (docs/formats.md).
 
 Inference recycles: stage 1 runs with an all-mask sequence prior; each
 later stage re-embeds the previous stage's predicted sequence and runs
-the encoder again on the re-fused input. Geometry features and the
+the same network again on the re-fused input. Geometry features and the
 structure prior are computed once. Stage outputs depend only on earlier
 stages, so the stage-t distribution is identical for any total T >= t.
 """
@@ -31,7 +31,7 @@ from .containers import pack, unpack
 from .encoder import LayerState, StackParams, encoder_stack
 from .errors import InvalidParameter, ShapeError, check_count, check_number
 from .geometry import ResidueGraph
-from .nn import ACTIVATIONS, Linear, MlpBlock
+from .nn import Linear, MlpBlock
 from .rng import RandomStream
 from .structure_io import AMINO_ACIDS
 
@@ -228,38 +228,28 @@ class ModelConfig:
     layers: int = 5
     heads: int = 4
     dropout: float = 0.1
-    activation: str = "gelu"
-    pool_mode: str = "channel"
     struct_dim: int = 512
     seq_dim: int = 320
     recycles: int = 3
-    share_stage_params: bool = True
 
     def __post_init__(self):
         for name, low in (("node_dim", 0), ("edge_dim", 1), ("hidden_dim", 1), ("layers", 0),
                           ("heads", 1), ("struct_dim", 0), ("seq_dim", 0), ("recycles", 1)):
             check_count(self, name, low)
-        if not isinstance(self.share_stage_params, (bool, np.bool_)):
-            raise InvalidParameter(f"share_stage_params must be true or false, "
-                                   f"got {self.share_stage_params!r}")
         check_number(self, "dropout", 0, 1, "[)")
-        if self.activation not in ACTIVATIONS:
-            raise InvalidParameter(f"unknown activation {self.activation!r}")
-        if self.pool_mode not in ("channel", "scalar"):
-            raise InvalidParameter(f"unknown pool mode {self.pool_mode!r}")
         if self.hidden_dim % self.heads != 0:
             raise InvalidParameter("hidden_dim must be divisible by heads")
 
 
 class _StageParams:
-    """Per-stage weights: fusion projection, encoder stack, decoder."""
+    """The weights every stage shares: fusion projection, encoder stack,
+    decoder."""
 
     def __init__(self, cfg: ModelConfig, stream: RandomStream):
         d = cfg.hidden_dim
         self.fuse_proj = Linear(d + cfg.struct_dim + cfg.seq_dim, d, stream.child("fuse"))
-        self.stack = StackParams(d, d, cfg.heads, cfg.layers, stream.child("stack"),
-                                 cfg.activation, cfg.dropout, cfg.pool_mode)
-        self.tuning = MlpBlock((d, d, d), stream.child("tuning"), cfg.activation, cfg.dropout)
+        self.stack = StackParams(d, d, cfg.heads, cfg.layers, stream.child("stack"), cfg.dropout)
+        self.tuning = MlpBlock((d, d, d), stream.child("tuning"), cfg.dropout)
         self.head = Linear(d, len(AMINO_ACIDS), stream.child("head"))
 
     def parameters(self, prefix):
@@ -280,18 +270,14 @@ class InverseFoldModel:
         d = cfg.hidden_dim
         self.node_embed = Linear(cfg.node_dim, d, stream.child("node_embed"))
         self.edge_embed = Linear(cfg.edge_dim, d, stream.child("edge_embed"))
-        n_stages = 1 if cfg.share_stage_params else cfg.recycles
-        self.stages = [_StageParams(cfg, stream.child(f"stage{t}")) for t in range(n_stages)]
-
-    def stage_params(self, t: int) -> _StageParams:
-        return self.stages[0] if self.cfg.share_stage_params else self.stages[t]
+        # one network for every recycling stage
+        self.stage = _StageParams(cfg, stream.child("stage0"))
 
     def parameters(self) -> dict:
         params = {}
         params.update(self.node_embed.parameters("node_embed"))
         params.update(self.edge_embed.parameters("edge_embed"))
-        for t, stage in enumerate(self.stages):
-            params.update(stage.parameters(f"stage{t}"))
+        params.update(self.stage.parameters("stage0"))
         return params
 
     def embed_graph(self, graph: ResidueGraph):
@@ -309,7 +295,7 @@ class InverseFoldModel:
                       training=False, stream=None, use_bridge=True, symmetric_edges=False,
                       collect_states=False):
         """One full pass: fuse priors, run the stack, decode probabilities."""
-        sp = self.stage_params(t)
+        sp = self.stage
         child = stream.child(f"stage{t}") if stream is not None else None
         fused = fuse(h_geom, Tensor(e_struct), Tensor(e_seq))
         h0 = sp.fuse_proj(fused)

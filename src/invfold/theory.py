@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import InfiniteResistance, InvalidAttention, InvalidParameter
-from .recycling import StubSequenceProvider, StubStructureProvider
+from .recycling import MASK_TOKEN
 from .rng import RandomStream
 
 _EIG_CUTOFF = 1e-10
@@ -289,16 +289,13 @@ def softmax_sensitivity_check(fixtures, eps: float = 1e-4) -> dict:
 
 
 @ad.no_grad()
-def contraction_profile(model, graphs, structure_provider=None, sequence_provider=None) -> dict:
+def contraction_profile(model, graphs, structure_provider, sequence_provider) -> dict:
     """Per-layer mean return mass for directional and shared-edge runs.
 
     Purely a measurement: the layerwise-contraction statement holds
     under Lipschitz assumptions whose constants are not observable, so
     the series and the worst consecutive ratio are reported as-is.
     """
-    structure_provider = structure_provider or StubStructureProvider(dim=model.cfg.struct_dim)
-    sequence_provider = sequence_provider or StubSequenceProvider(dim=model.cfg.seq_dim)
-
     def series(symmetric):
         layer_sums = None
         for graph in graphs:
@@ -336,12 +333,9 @@ def recycling_monotonicity_report(staged_losses) -> dict:
 
 
 @ad.no_grad()
-def oversmoothing_profile(model, graph, structure_provider=None, sequence_provider=None) -> dict:
+def oversmoothing_profile(model, graph, structure_provider, sequence_provider) -> dict:
     """Mean pairwise node-state distance per layer, sqrt(d)-normalized,
     with the global-context block enabled and disabled."""
-    structure_provider = structure_provider or StubStructureProvider(dim=model.cfg.struct_dim)
-    sequence_provider = sequence_provider or StubSequenceProvider(dim=model.cfg.seq_dim)
-
     def spread(states):
         out = []
         for h in states:
@@ -357,7 +351,6 @@ def oversmoothing_profile(model, graph, structure_provider=None, sequence_provid
     def run(use_bridge):
         h_geom, e_geom = model.embed_graph(graph)
         e_struct = structure_provider.embed_structure(graph)
-        from .recycling import MASK_TOKEN
         e_seq = sequence_provider.embed_sequence([MASK_TOKEN] * graph.n)
         _, _, trace = model.forward_stage(graph, h_geom, e_geom, e_struct, e_seq, 0,
                                           training=False, use_bridge=use_bridge,

@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,10 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import invfold
+from invfold import containers
 from invfold.cli import main
 from invfold.config import RunConfig, config_to_dict
 from invfold.geometry import read_graph
@@ -133,7 +135,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("features", [
         {"k": 2.5}, {"k": True}, {"relative_position_clamp": -1}, {"ss_classes": -1},
-        {"use_orientations": "no"}, {"rbf_max": float("inf")}, {"rbf_min": float("nan")}])
+        {"rbf_count": "16"}, {"rbf_max": float("inf")}, {"rbf_min": float("nan")}])
     def test_ill_typed_feature_is_a_config_error(self, tmp_path, capsys, features):
         pdb = write_chain_pdb(tmp_path / "chain30.pdb", 30)
         path = tmp_path / "c.json"
@@ -157,7 +159,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("section,key,value", [
         ("train", "dropout", 0.5), ("train", "seed", 3), ("data", "corpus_dir", None),
-        ("priors", "provider_seed", 0), ("data", "chain", "A")])
+        ("priors", "provider_seed", 0), ("data", "chain", "A"),
+        ("features", "use_intra_rbf", True), ("features", "use_dihedrals", True),
+        ("features", "use_secondary_structure", True), ("features", "use_orientations", True),
+        ("features", "use_relative_position", True), ("model", "activation", "gelu"),
+        ("model", "pool_mode", "channel"), ("model", "share_stage_params", True)])
     def test_removed_key_is_unknown(self, tmp_path, capsys, section, key, value):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({**TINY_CONFIG,
@@ -309,6 +315,19 @@ class TestTrainEval:
         out = ad.mul(ad.Tensor(np.ones(2), requires_grad=True), 2.0)
         assert out.requires_grad and out._node is not None
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_eval_jobs_below_one_exit_1(self, tmp_path, tiny_config, pdb_file, capsys, jobs):
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        import shutil
+        shutil.copy(pdb_file, dataset / "toy.pdb")
+        out = tmp_path / "m.csv"
+        assert main(["eval", "--dataset", str(dataset), "--config", tiny_config,
+                     "--out", str(out), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: --jobs must be at least 1, got {jobs}"]
+        assert not out.exists()
+
     def test_eval_malformed_fasta_nonfatal(self, tmp_path, tiny_config, pdb_file):
         dataset = tmp_path / "data"
         dataset.mkdir()
@@ -375,6 +394,55 @@ def test_odd_config_values_exit_cleanly(tmp_path_factory, where, value):
         assert code in (0, 1), (argv[0], where, value, err.getvalue())
         assert len(err.getvalue().strip().splitlines()) == code, (argv[0], where, value)
         assert "Traceback" not in err.getvalue()
+
+
+def _tiny_graph():
+    """A featurized 14-residue chain under TINY_CONFIG, and its container header."""
+    from invfold.config import config_from_dict
+    from invfold.geometry import build_knn_graph, serialize_graph
+    from invfold.synthetic import random_backbone
+    graph = build_knn_graph(random_backbone(51, 14), config_from_dict(TINY_CONFIG).features)
+    data = serialize_graph(graph)
+    (hlen,) = struct.unpack_from("<I", data, 4)
+    return graph, json.loads(data[8:8 + hlen])
+
+
+GRAPH, GRAPH_HEADER = _tiny_graph()
+GRAPH_FIELDS = (None, "labels", "seq_index", "chain_id", "node_layout", "edge_layout")
+# an odd JSON value, or the field's own value cut or repeated to another length
+GRAPH_EDITS = st.one_of(st.tuples(st.just("odd"), ODD_VALUES),
+                        st.tuples(st.just("resize"), st.integers(0, 20)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(0, 14), k=st.integers(0, 6), field=st.sampled_from(GRAPH_FIELDS),
+       edit=GRAPH_EDITS)
+@example(n=0, k=0, field=None, edit=("odd", None))
+@example(n=14, k=0, field=None, edit=("odd", None))
+def test_odd_graph_headers_exit_cleanly(tmp_path_factory, n, k, field, edit):
+    """A graph container cut to n residues and k neighbours (blocks, labels
+    and seq_index resized to match), with any JSON value or a list of
+    another length in one header field: infer exits 0, or 2 with one line
+    on stderr; nothing escapes."""
+    header = copy.deepcopy(GRAPH_HEADER)
+    header.update(n=n, k=k, labels=header["labels"][:n], seq_index=header["seq_index"][:n])
+    if field is not None:
+        kind, value = edit
+        if kind == "resize":
+            own = header[field]
+            value = (own * (value // max(len(own), 1) + 1))[:value]
+        header[field] = value
+    blocks = [("<i4", GRAPH.neighbors[:n, :k] % max(n, 1)), ("<f4", GRAPH.node_feats[:n]),
+              ("<f4", GRAPH.edge_feats[:n, :k])]
+    tmp = tmp_path_factory.mktemp("graph")
+    (tmp / "g.ifg").write_bytes(containers.pack(b"IFG1", header, blocks))
+    (tmp / "c.json").write_text(json.dumps(TINY_CONFIG))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["infer", "--features", str(tmp / "g.ifg"), "--config", str(tmp / "c.json")])
+    assert code in (0, 2), (n, k, field, edit, err.getvalue())
+    assert len(err.getvalue().strip().splitlines()) == (code == 2), (n, k, field, edit)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestSeedGuard:
@@ -447,6 +515,30 @@ class TestSeedGuard:
         save_checkpoint(InverseFoldModel(load_config(tiny_config).model).parameters(), bare)
         assert main(["infer", "--pdb", pdb, "--config", tiny_config, "--checkpoint", str(bare),
                      "--seed", "5"]) == 0
+        # a checkpoint that records no settings is not held to them
+        other = tmp_path / "k10.json"
+        other.write_text(json.dumps({**TINY_CONFIG, "features": {"k": 10, "rbf_count": 4}}))
+        assert main(["infer", "--pdb", pdb, "--config", str(other), "--checkpoint", str(bare)]) == 0
+
+    @pytest.mark.parametrize("section,key,value,code", [
+        ("features", "k", 10, 3), ("features", "rbf_max", 8.0, 3), ("model", "heads", 4, 3),
+        ("model", "dropout", 0.3, 0), ("model", "recycles", 1, 0)])
+    def test_checkpoint_holds_the_run_to_its_settings(self, tmp_path, trained, monkeypatch,
+                                                     capsys, section, key, value, code):
+        """Features and the model's shape settings must match the training
+        run's; dropout and the stage count may differ."""
+        monkeypatch.delenv("RIGA_SEED", raising=False)
+        dataset, ckpt = trained
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps({**TINY_CONFIG, section: {**TINY_CONFIG[section], key: value}}))
+        capsys.readouterr()
+        assert main(["infer", "--pdb", str(dataset / "p0.pdb"), "--config", str(path),
+                     "--seed", "3", "--checkpoint", str(ckpt)]) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        if code:
+            assert len(err) == 1 and f"{section}.{key} = " in err[0]
+        else:
+            assert err == []
 
 
 class TestAggregate:
@@ -605,7 +697,6 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("field,size", [("labels", 3), ("seq_index", 5)])
     def test_graph_with_short_lists_exit_2(self, tmp_path, tiny_config, capsys, field, size):
-        import struct
         pdb = write_chain_pdb(tmp_path / "chain60.pdb", 60, seed=52)
         graph = tmp_path / "g.ifg"
         args = ["infer", "--features", str(graph), "--config", tiny_config]

@@ -111,10 +111,10 @@ def test_model_config_assembly():
 
 
 @pytest.mark.parametrize("model", [{"heads": 0}, {"hidden_dim": -8}, {"layers": -1},
-                                   {"recycles": 0}, {"dropout": 1.0}, {"activation": "tanh"},
+                                   {"recycles": 0}, {"dropout": 1.0}, {"dropout": -0.1},
                                    {"hidden_dim": 10, "heads": 4}, {"heads": "two"},
                                    {"layers": True}, {"hidden_dim": 2**31},
-                                   {"share_stage_params": "no"}])
+                                   {"recycles": 1.5}])
 def test_model_out_of_range_is_a_config_error(model):
     with pytest.raises(ConfigError) as err:
         config_from_dict({"model": model})

@@ -243,18 +243,6 @@ class TestBridgeOracle:
         global_context_bridge(Tensor(h), params, training=True, stream=RandomStream(4, "run"))
         assert len(names) == 3 and len(set(names)) == 3
 
-    def test_scalar_pool_mode(self, tiny_setup):
-        stream, _, h, _, d, _ = tiny_setup
-        params = BridgeParams(d, stream.child("bridge4"), pool_mode="scalar")
-        out = global_context_bridge(Tensor(h), params)
-        s = (h @ params.w_att.w.data).mean(axis=1)
-        alpha = softmax_1d(s)
-        g_pool = (alpha[:, None] * (h @ params.w_val.w.data)).sum(axis=0)
-        u = mlp_ref(params.mlp_up, np.concatenate([h[0], g_pool]))
-        z = u * sigmoid_ref(mlp_ref(params.mlp_in, h[0]))
-        ref = h[0] * sigmoid_ref(mlp_ref(params.mlp_out, z))
-        assert np.max(np.abs(out.data[0] - ref)) < 1e-9
-
 
 class TestEncoderLayer:
     def _layer(self, stream, d, d_e, dropout=0.0):

@@ -29,14 +29,6 @@ def test_mlp_widths_validation():
         MlpBlock((8,), RandomStream(3, "m"))
     with pytest.raises(InvalidParameter):
         MlpBlock((8, 8), RandomStream(3, "m"), dropout=1.0)
-    with pytest.raises(InvalidParameter):
-        MlpBlock((8, 8), RandomStream(3, "m"), activation="swish")
-
-
-def test_mlp_relu_mode():
-    block = MlpBlock((4, 4, 2), RandomStream(4, "m"), activation="relu")
-    out = block(Tensor(np.ones((3, 4))))
-    assert out.shape == (3, 2)
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -68,7 +68,7 @@ class TestDistributions:
 
 class TestDecode:
     def test_zero_logits_uniform(self, small_model):
-        sp = small_model.stage_params(0)
+        sp = small_model.stage
         sp.tuning.layers[-1].w.data[:] = 0.0
         sp.tuning.layers[-1].b.data[:] = 0.0
         sp.head.w.data[:] = 0.0
@@ -77,7 +77,7 @@ class TestDecode:
         assert np.allclose(probs.data, 1.0 / 20)
 
     def test_rows_sum_to_one(self, small_model):
-        probs = small_model.decode(Tensor(rand((7, 16), 10)), small_model.stage_params(0))
+        probs = small_model.decode(Tensor(rand((7, 16), 10)), small_model.stage)
         assert np.max(np.abs(probs.data.sum(axis=1) - 1.0)) < 1e-6
 
     def test_hot_logit_dominates(self):
@@ -224,19 +224,6 @@ class TestRecycleInfer:
         sp, qp = small_providers
         with pytest.raises(InvalidParameter):
             recycle_infer(small_model, small_graph, sp, qp, 0)
-
-    def test_per_stage_parameters_mode(self, small_graph, small_feature_config):
-        cfg = ModelConfig(node_dim=small_feature_config.node_dim,
-                          edge_dim=small_feature_config.edge_dim,
-                          hidden_dim=16, layers=1, heads=2, struct_dim=12, seq_dim=10,
-                          dropout=0.0, recycles=2, share_stage_params=False)
-        model = InverseFoldModel(cfg, seed=4)
-        assert len(model.stages) == 2
-        assert model.stage_params(0) is not model.stage_params(1)
-        sp = StubStructureProvider(dim=12, seed=1)
-        qp = StubSequenceProvider(dim=10, seed=1)
-        r = recycle_infer(model, small_graph, sp, qp, 2)
-        assert len(r.distributions) == 2
 
     def test_provider_dim_mismatch(self, small_model, small_graph):
         sp = StubStructureProvider(dim=5, seed=1)

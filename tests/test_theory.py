@@ -240,7 +240,7 @@ class TestModelDiagnostics:
                           dropout=0.0)
         model = InverseFoldModel(cfg, seed=6)
         # zero every key projection: identical logits -> uniform attention
-        for layer in model.stage_params(0).stack.layers:
+        for layer in model.stage.stack.layers:
             layer.attention.w_k.w.data[:] = 0.0
         rep = contraction_profile(model, [small_graph],
                                   StubStructureProvider(dim=12, seed=1),
