@@ -86,9 +86,9 @@ class _Node:
 class Tensor:
     """Dense array plus, for an op output on the tape, its `_Node`."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_node", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
-    def __init__(self, data, requires_grad=False, dtype=None, name=None):
+    def __init__(self, data, requires_grad=False, dtype=None):
         if dtype is None:
             # float32 survives so inference can run fully in 32-bit;
             # everything else (lists, ints) defaults to float64
@@ -100,7 +100,6 @@ class Tensor:
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._node = None
-        self.name = name
 
     @property
     def shape(self):
@@ -117,8 +116,7 @@ class Tensor:
         self.grad = None
 
     def __repr__(self):
-        tag = f" name={self.name}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
     # operator sugar
     def __add__(self, other):

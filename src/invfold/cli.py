@@ -46,10 +46,10 @@ from .recycling import (
     StubStructureProvider,
     recycle_infer,
 )
-from .structure_io import parse_pdb, read_fasta_file, write_fasta
+from .structure_io import AA_INDEX, parse_pdb, read_fasta_file, write_fasta
 from .synthetic import toy_corpus
 from .training import metrics as compute_metrics
-from .training import staged_loss, train_toy, write_metrics_csv
+from .training import pool_metrics, staged_loss, train_toy, write_metrics_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -180,6 +180,13 @@ def cmd_featurize(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
+    # a file prior holds one protein's rows, so it cannot serve a corpus
+    if (cfg.priors.structure_provider, cfg.priors.sequence_provider) != ("stub", "stub"):
+        raise _UsageError("train uses stub priors; set priors.structure_provider and "
+                          "priors.sequence_provider to \"stub\"")
+    if cfg.train.schedule == "cosine" and cfg.train.warmup_steps >= cfg.train.max_steps:
+        print(f"warning: train.warmup_steps ({cfg.train.warmup_steps}) >= train.max_steps "
+              f"({cfg.train.max_steps}): the learning rate never decays", file=sys.stderr)
     out_dir = Path(args.out_dir or cfg.data.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -290,11 +297,9 @@ def cmd_eval(args) -> int:
             if not entries or len(entries[0][1]) != graph.n:
                 raise ParseError(f"reference error: {fasta.name} has the wrong length")
             ref = entries[0][1]
-        m = compute_metrics(result.distributions[-1], ref)
-        idx_mask = [t in "ACDEFGHIKLMNPQRSTVWY" for t in ref]
-        n_scored = sum(idx_mask)
-        return {"protein": path.stem, "n": graph.n, "scored": n_scored,
-                "recovery": m.recovery, "ppl": m.perplexity}
+        return {"protein": path.stem, "n": graph.n,
+                "scored": sum(t in AA_INDEX for t in ref),
+                "metrics": compute_metrics(result.distributions[-1], ref)}
 
     def row(path):
         # a protein that fails becomes an error row; the others still run
@@ -306,19 +311,19 @@ def cmd_eval(args) -> int:
     with ThreadPoolExecutor(max_workers=min(args.jobs, len(pdbs))) as pool:
         rows = list(pool.map(row, pdbs))
 
-    scored = [r for r in rows if "error" not in r]
     lines = ["protein,n,recovery,ppl,error"]
     for r in rows:
         if "error" in r:
             lines.append(f"{r['protein']},,,,\"{r['error']}\"")
         else:
-            lines.append(f"{r['protein']},{r['n']},{r['recovery']:.6g},{r['ppl']:.6g},")
-    if scored:
-        total = sum(r["scored"] for r in scored)
-        agg_ce = sum(math.log(r["ppl"]) * r["scored"] for r in scored) / total
-        agg_rec = sum(r["recovery"] * r["scored"] for r in scored) / total
-        lines.append(f"AGGREGATE,{sum(r['n'] for r in scored)},{agg_rec:.6g},"
-                     f"{math.exp(agg_ce):.6g},")
+            m = r["metrics"]
+            lines.append(f"{r['protein']},{r['n']},{m.recovery:.6g},{m.perplexity:.6g},")
+    # a protein with no scored residue has no figures to pool
+    scored = [r for r in rows if r.get("scored")]
+    pooled = pool_metrics([(r["metrics"], r["scored"]) for r in scored])
+    if pooled is not None:
+        lines.append(f"AGGREGATE,{sum(r['n'] for r in scored)},{pooled.recovery:.6g},"
+                     f"{pooled.perplexity:.6g},")
     out = args.out or "metrics.csv"
     Path(out).write_text("\n".join(lines) + "\n")
     print("\n".join(lines))

@@ -29,7 +29,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .containers import pack, unpack
 from .errors import InvalidParameter, IsolatedNode, ParseError
-from .nn import Linear, LayerNorm, MlpBlock
+from .nn import Linear, LayerNorm, MlpBlock, Module
 
 _ALPHA_MAGIC = b"IFA1"
 
@@ -48,8 +48,10 @@ class LayerState:
         return self.h.shape[0]
 
 
-class AttentionParams:
+class AttentionParams(Module):
     """Projections for edge-keyed attention; d_k * heads = d."""
+
+    names = {"w_q": "q", "w_k": "k", "w_v": "v"}
 
     def __init__(self, d, d_e, heads, stream):
         if d % heads != 0:
@@ -62,16 +64,11 @@ class AttentionParams:
         self.w_k = Linear(d_e, d, stream.child("k"), bias=False)
         self.w_v = Linear(2 * d + d_e, d, stream.child("v"), bias=False)
 
-    def parameters(self, prefix):
-        params = {}
-        params.update(self.w_q.parameters(f"{prefix}.q"))
-        params.update(self.w_k.parameters(f"{prefix}.k"))
-        params.update(self.w_v.parameters(f"{prefix}.v"))
-        return params
 
-
-class BridgeParams:
+class BridgeParams(Module):
     """Weights of the global-context block."""
+
+    names = {"w_att": "att", "w_val": "val", "mlp_up": "up", "mlp_in": "in", "mlp_out": "out"}
 
     def __init__(self, d, stream, dropout=0.0):
         self.d = d
@@ -81,17 +78,10 @@ class BridgeParams:
         self.mlp_in = MlpBlock((d, d, d), stream.child("in"), dropout)
         self.mlp_out = MlpBlock((d, d, d), stream.child("out"), dropout)
 
-    def parameters(self, prefix):
-        params = {}
-        params.update(self.w_att.parameters(f"{prefix}.att"))
-        params.update(self.w_val.parameters(f"{prefix}.val"))
-        params.update(self.mlp_up.parameters(f"{prefix}.up"))
-        params.update(self.mlp_in.parameters(f"{prefix}.in"))
-        params.update(self.mlp_out.parameters(f"{prefix}.out"))
-        return params
 
+class LayerParams(Module):
+    names = {"attention": "attn", "edge_mlp": "edge"}
 
-class LayerParams:
     def __init__(self, d, d_e, heads, stream, dropout=0.0):
         self.attention = AttentionParams(d, d_e, heads, stream.child("attn"))
         self.edge_mlp = MlpBlock((2 * d + d_e, d_e, d_e), stream.child("edge"), dropout)
@@ -99,29 +89,15 @@ class LayerParams:
         self.norm = LayerNorm(d)
         self.dropout = dropout
 
-    def parameters(self, prefix):
-        params = {}
-        params.update(self.attention.parameters(f"{prefix}.attn"))
-        params.update(self.edge_mlp.parameters(f"{prefix}.edge"))
-        params.update(self.bridge.parameters(f"{prefix}.bridge"))
-        params.update(self.norm.parameters(f"{prefix}.norm"))
-        return params
 
+class StackParams(Module):
+    names = {"layers": "layer"}
 
-class StackParams:
     def __init__(self, d, d_e, heads, depth, stream, dropout=0.0):
         self.depth = depth
         self.layers = [LayerParams(d, d_e, heads, stream.child(f"layer{i}"), dropout)
                        for i in range(depth)]
         self.final_norm = LayerNorm(d) if depth > 0 else None
-
-    def parameters(self, prefix="stack"):
-        params = {}
-        for i, layer in enumerate(self.layers):
-            params.update(layer.parameters(f"{prefix}.layer{i}"))
-        if self.final_norm is not None:
-            params.update(self.final_norm.parameters(f"{prefix}.final_norm"))
-        return params
 
 
 def gau_attention(h: Tensor, e: Tensor, neighbors: np.ndarray, params: AttentionParams):

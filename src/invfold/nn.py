@@ -25,7 +25,35 @@ def xavier_uniform(shape, stream: RandomStream) -> np.ndarray:
     return (stream.uniform(shape) * 2.0 - 1.0) * bound
 
 
-class Linear:
+class Module:
+    """A holder of parameters, named by their attribute paths.
+
+    `parameters(prefix)` walks the attributes in the order they were set:
+    a Tensor with requires_grad is a parameter, a Module is walked, and
+    each Module in a list is walked under the list's name plus its index
+    (`layer0`, `layer1`, ...). `names` gives the name of an attribute
+    where it differs from the attribute's own name.
+    """
+
+    names: dict = {}
+
+    def parameters(self, prefix="") -> dict:
+        params = {}
+        for attr, value in vars(self).items():
+            name = self.names.get(attr, attr)
+            path = f"{prefix}.{name}" if prefix else name
+            if isinstance(value, Tensor) and value.requires_grad:
+                params[path] = value
+            elif isinstance(value, Module):
+                params.update(value.parameters(path))
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    if isinstance(item, Module):
+                        params.update(item.parameters(f"{path}{i}"))
+        return params
+
+
+class Linear(Module):
     """y = x @ W + b, with W of shape (d_in, d_out)."""
 
     def __init__(self, d_in, d_out, stream, bias=True):
@@ -35,14 +63,8 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.linear(x, self.w, self.b)
 
-    def parameters(self, prefix):
-        params = {f"{prefix}.w": self.w}
-        if self.b is not None:
-            params[f"{prefix}.b"] = self.b
-        return params
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, dim):
         self.gain = Tensor(np.ones(dim), requires_grad=True)
         self.bias = Tensor(np.zeros(dim), requires_grad=True)
@@ -50,17 +72,16 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.gain, self.bias)
 
-    def parameters(self, prefix):
-        return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}
 
-
-class MlpBlock:
+class MlpBlock(Module):
     """Stack of Linear layers with GELU between them.
 
     `widths` lists every layer width including input and output, e.g.
     (384, 128, 128) is two Linear layers with one hidden GELU.
     Dropout, when enabled, applies to hidden activations only.
     """
+
+    names = {"layers": "layer"}
 
     def __init__(self, widths, stream, dropout=0.0):
         if len(widths) < 2:
@@ -82,12 +103,6 @@ class MlpBlock:
                 x = ad.dropout(x, self.dropout, stream.child(f"drop{i - 1}"), training)
             x = layer(x)
         return x
-
-    def parameters(self, prefix):
-        params = {}
-        for i, layer in enumerate(self.layers):
-            params.update(layer.parameters(f"{prefix}.layer{i}"))
-        return params
 
 
 def save_checkpoint(params: dict, path, meta=None) -> None:

@@ -7,7 +7,9 @@ derive deterministic pseudo-embeddings from seeded hash rows (the
 sequence stub sums a token row and a position row, so a residue type
 looks alike wherever it occurs), which keeps the whole pipeline
 runnable without any pretrained model, and the file providers read
-embeddings exported out-of-band (docs/formats.md).
+embeddings exported out-of-band (docs/formats.md). A provider is any
+object with a `dim` and `embed_structure(graph)` or
+`embed_sequence(tokens)`, which returns (n, dim) rows.
 
 Inference recycles: stage 1 runs with an all-mask sequence prior; each
 later stage re-embeds the previous stage's predicted sequence and runs
@@ -31,7 +33,7 @@ from .containers import pack, unpack
 from .encoder import LayerState, StackParams, encoder_stack
 from .errors import InvalidParameter, ShapeError, check_count, check_number
 from .geometry import ResidueGraph
-from .nn import Linear, MlpBlock
+from .nn import Linear, MlpBlock, Module
 from .rng import RandomStream
 from .structure_io import AMINO_ACIDS
 
@@ -68,26 +70,6 @@ class PredictedSequence:
         return "".join(self.tokens)
 
 
-class StructurePriorProvider:
-    """Frozen per-residue embeddings conditioned on the backbone."""
-
-    kind = "structure"
-    dim: int
-
-    def embed_structure(self, graph: ResidueGraph) -> np.ndarray:
-        raise NotImplementedError
-
-
-class SequencePriorProvider:
-    """Frozen per-residue embeddings conditioned on a candidate sequence."""
-
-    kind = "sequence"
-    dim: int
-
-    def embed_sequence(self, tokens) -> np.ndarray:
-        raise NotImplementedError
-
-
 @functools.lru_cache(maxsize=65536)
 def _hash_row(tag: str, seed: int, dim: int, key: str) -> bytes:
     digest = hashlib.blake2b(f"{tag}:{seed}:{key}".encode(), digest_size=16).digest()
@@ -106,7 +88,7 @@ def _hash_rows(tag: str, seed: int, dim: int, keys) -> np.ndarray:
     return rows
 
 
-class StubStructureProvider(StructurePriorProvider):
+class StubStructureProvider:
     """Position-keyed pseudo-embeddings; invariant to rigid motion by
     construction and independent of the native sequence."""
 
@@ -118,7 +100,7 @@ class StubStructureProvider(StructurePriorProvider):
         return _hash_rows("stub-structure", self.seed, self.dim, range(graph.n))
 
 
-class StubSequenceProvider(SequencePriorProvider):
+class StubSequenceProvider:
     """(token row + position row) / sqrt(2): a residue type looks alike
     wherever it occurs, as in a real sequence model; accepts mask tokens."""
 
@@ -134,7 +116,7 @@ class StubSequenceProvider(SequencePriorProvider):
         return (token_rows + pos_rows) / np.sqrt(2.0)
 
 
-class OracleSequenceProvider(SequencePriorProvider):
+class OracleSequenceProvider:
     """Boundary-monotone construction for recycling diagnostics.
 
     Mask queries embed as masks; any candidate-sequence query returns
@@ -181,7 +163,7 @@ def read_embeddings(path):
     return rows.astype(np.float64), header
 
 
-class FileStructureProvider(StructurePriorProvider):
+class FileStructureProvider:
     def __init__(self, path):
         self.rows, self.header = read_embeddings(path)
         self.dim = self.rows.shape[1]
@@ -192,7 +174,7 @@ class FileStructureProvider(StructurePriorProvider):
         return self.rows.copy()
 
 
-class FileSequenceProvider(SequencePriorProvider):
+class FileSequenceProvider:
     """A static sequence-prior export; returns its stored rows for any
     query of the right length (the file records which sequence produced
     them)."""
@@ -241,9 +223,11 @@ class ModelConfig:
             raise InvalidParameter("hidden_dim must be divisible by heads")
 
 
-class _StageParams:
+class _StageParams(Module):
     """The weights every stage shares: fusion projection, encoder stack,
     decoder."""
+
+    names = {"fuse_proj": "fuse"}
 
     def __init__(self, cfg: ModelConfig, stream: RandomStream):
         d = cfg.hidden_dim
@@ -252,17 +236,11 @@ class _StageParams:
         self.tuning = MlpBlock((d, d, d), stream.child("tuning"), cfg.dropout)
         self.head = Linear(d, len(AMINO_ACIDS), stream.child("head"))
 
-    def parameters(self, prefix):
-        params = {}
-        params.update(self.fuse_proj.parameters(f"{prefix}.fuse"))
-        params.update(self.stack.parameters(f"{prefix}.stack"))
-        params.update(self.tuning.parameters(f"{prefix}.tuning"))
-        params.update(self.head.parameters(f"{prefix}.head"))
-        return params
 
-
-class InverseFoldModel:
+class InverseFoldModel(Module):
     """Geometric encoder + prior fusion + recycling decoder."""
+
+    names = {"stage": "stage0"}
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
@@ -272,13 +250,6 @@ class InverseFoldModel:
         self.edge_embed = Linear(cfg.edge_dim, d, stream.child("edge_embed"))
         # one network for every recycling stage
         self.stage = _StageParams(cfg, stream.child("stage0"))
-
-    def parameters(self) -> dict:
-        params = {}
-        params.update(self.node_embed.parameters("node_embed"))
-        params.update(self.edge_embed.parameters("edge_embed"))
-        params.update(self.stage.parameters("stage0"))
-        return params
 
     def embed_graph(self, graph: ResidueGraph):
         """Project raw invariant features into the hidden width (once)."""
@@ -352,10 +323,8 @@ class RecycleResult:
 
 
 @ad.no_grad()
-def recycle_infer(model: InverseFoldModel, graph: ResidueGraph,
-                  structure_provider: StructurePriorProvider,
-                  sequence_provider: SequencePriorProvider,
-                  recycles: int) -> RecycleResult:
+def recycle_infer(model: InverseFoldModel, graph: ResidueGraph, structure_provider,
+                  sequence_provider, recycles: int) -> RecycleResult:
     """Deterministic cascaded inference; returns every stage's distribution.
 
     Runs under `no_grad`, so no stage keeps a tape and memory stays

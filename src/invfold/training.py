@@ -46,8 +46,7 @@ class TrainConfig:
     schedule: str = "cosine"
     grad_clip_norm: float = 1.0
     batch_size: int = 1
-    epochs: int = 100
-    max_steps: int | None = 2000  # step-driven run length; None falls back to epochs
+    max_steps: int = 2000
     early_stop_patience: int = 10  # 0 never stops early
     eval_every: int = 200
     noise_sigma: float = 0.02
@@ -56,13 +55,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("warmup_steps", 0), ("batch_size", 1), ("epochs", 1),
+        for name, low in (("warmup_steps", 0), ("batch_size", 1), ("max_steps", 1),
                           ("early_stop_patience", 0), ("eval_every", 1)):
             check_count(self, name, low)
-        if self.max_steps is not None:
-            check_count(self, "max_steps", 1)
-        if self.epochs > 100:
-            raise InvalidParameter(f"epochs must lie in [1, 100], got {self.epochs!r}")
         check_number(self, "lr", 0, math.inf, "()")
         for name in ("weight_decay", "grad_clip_norm", "noise_sigma"):  # a 0 clip norm never clips
             check_number(self, name, 0, math.inf, "[)")
@@ -143,6 +138,22 @@ def metrics(dist: SequenceDistribution, truth, mask=None) -> Metrics:
     pred = np.argmax(dist.probs, axis=1)
     recovery = 100.0 * float(np.mean(pred[mask] == idx[mask]))
     return Metrics(perplexity=float(np.exp(ce)), recovery=recovery)
+
+
+def pool_metrics(scored) -> Metrics | None:
+    """Residue-weighted metrics over proteins, from (Metrics, scored
+    residue count) pairs: recovery pools as a weighted mean, perplexity
+    as exp of the weighted mean log-perplexity. Proteins with no scored
+    residue are left out; None when no protein is scored."""
+    count, log_ppl, recovery = 0, 0.0, 0.0
+    for m, n in scored:
+        if n > 0:
+            count += n
+            log_ppl += math.log(m.perplexity) * n
+            recovery += m.recovery * n
+    if count == 0:
+        return None
+    return Metrics(perplexity=math.exp(log_ppl / count), recovery=recovery / count)
 
 
 def cosine_warmup_lr(step: int, cfg: TrainConfig, total_steps: int) -> float:
@@ -236,9 +247,7 @@ def _evaluate(model, graphs, providers, recycles):
     """Noise-free, dropout-free pass; per-stage mean losses and final metrics."""
     struct_p, seq_p = providers
     per_stage = None
-    ppl_num = 0.0
-    rec_num = 0.0
-    count = 0
+    scored = []
     for graph in graphs:
         probs, _, _ = model.run_stages(graph, struct_p, seq_p, recycles, training=False)
         dists = [SequenceDistribution(p.data, stage=t + 1) for t, p in enumerate(probs)]
@@ -249,13 +258,9 @@ def _evaluate(model, graphs, providers, recycles):
         if per_stage is None:
             per_stage = np.zeros(len(stage_vals))
         per_stage += np.asarray(stage_vals)
-        m = metrics(dists[-1], truth)
-        n_res = int(graph.mask.sum())
-        ppl_num += math.log(m.perplexity) * n_res
-        rec_num += m.recovery * n_res
-        count += n_res
+        scored.append((metrics(dists[-1], truth), int(graph.mask.sum())))
     per_stage /= len(graphs)
-    return per_stage, Metrics(perplexity=math.exp(ppl_num / count), recovery=rec_num / count)
+    return per_stage, pool_metrics(scored)
 
 
 def train_toy(corpus, cfg: TrainConfig, model_cfg: ModelConfig | None = None,
@@ -263,8 +268,8 @@ def train_toy(corpus, cfg: TrainConfig, model_cfg: ModelConfig | None = None,
     """Memorization-scale training on a small backbone corpus.
 
     `corpus` is a list of ProteinBackbone whose residue labels are the
-    target sequences. Runs max_steps optimizer steps when set, else
-    epochs passes; early-stops on held-out perplexity.
+    target sequences. Runs max_steps optimizer steps; early-stops on
+    held-out perplexity.
     """
     if not corpus:
         raise InvalidParameter("corpus is empty")
@@ -293,9 +298,6 @@ def train_toy(corpus, cfg: TrainConfig, model_cfg: ModelConfig | None = None,
     train_graphs = [clean_graphs[i] for i in train_ids]
     val_graphs = [clean_graphs[i] for i in val_ids]
 
-    steps_per_epoch = max(1, math.ceil(len(train_ids) / cfg.batch_size))
-    total_steps = cfg.max_steps if cfg.max_steps else cfg.epochs * steps_per_epoch
-
     log_rows = []
     val_history = []
     best_val = float("inf")
@@ -306,7 +308,7 @@ def train_toy(corpus, cfg: TrainConfig, model_cfg: ModelConfig | None = None,
 
     def record(step_now):
         stage_losses, train_m = _evaluate(model, train_graphs, providers, recycles)
-        lr_now = cosine_warmup_lr(max(step_now, 1), cfg, total_steps)
+        lr_now = cosine_warmup_lr(max(step_now, 1), cfg, cfg.max_steps)
         for t, val in enumerate(stage_losses):
             log_rows.append({
                 "epoch": epoch, "step": step_now, "stage": t + 1,
@@ -315,11 +317,11 @@ def train_toy(corpus, cfg: TrainConfig, model_cfg: ModelConfig | None = None,
             })
         return stage_losses, train_m
 
-    while step < total_steps and not stopped_early:
+    while step < cfg.max_steps and not stopped_early:
         epoch += 1
         order = [train_ids[i] for i in root.child(f"epoch{epoch}").permutation(len(train_ids))]
         for start in range(0, len(order), cfg.batch_size):
-            if step >= total_steps or stopped_early:
+            if step >= cfg.max_steps or stopped_early:
                 break
             step += 1
             batch = order[start:start + cfg.batch_size]
@@ -339,9 +341,9 @@ def train_toy(corpus, cfg: TrainConfig, model_cfg: ModelConfig | None = None,
                 ad.backward(loss)  # grads accumulate across the batch
             if not math.isfinite(clip_gradients(params, cfg.grad_clip_norm)):
                 raise TrainingDiverged(step, _non_finite_gradient(params, step))
-            opt.step(lr=cosine_warmup_lr(step, cfg, total_steps))
+            opt.step(lr=cosine_warmup_lr(step, cfg, cfg.max_steps))
 
-            if step % cfg.eval_every == 0 or step == total_steps:
+            if step % cfg.eval_every == 0 or step == cfg.max_steps:
                 record(step)
                 if val_graphs and cfg.early_stop_patience > 0:
                     _, val_m = _evaluate(model, val_graphs, providers, recycles)

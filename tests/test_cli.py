@@ -54,11 +54,11 @@ def pdb_file(tmp_path):
     return str(path)
 
 
-def write_chain_pdb(path, n, seed=51):
+def write_chain_pdb(path, n, seed=51, resname="ALA"):
     from conftest import atom_line
     from invfold.synthetic import random_backbone
     path.write_text("".join(
-        atom_line(4 * i + a + 1, name, "ALA", "A", i + 1, *xyz) + "\n"
+        atom_line(4 * i + a + 1, name, resname, "A", i + 1, *xyz) + "\n"
         for i, atoms in enumerate(random_backbone(seed, n).coords())
         for a, (name, xyz) in enumerate(zip(("N", "CA", "C", "O"), atoms))))
     return str(path)
@@ -163,7 +163,8 @@ class TestConfig:
         ("features", "use_intra_rbf", True), ("features", "use_dihedrals", True),
         ("features", "use_secondary_structure", True), ("features", "use_orientations", True),
         ("features", "use_relative_position", True), ("model", "activation", "gelu"),
-        ("model", "pool_mode", "channel"), ("model", "share_stage_params", True)])
+        ("model", "pool_mode", "channel"), ("model", "share_stage_params", True),
+        ("train", "epochs", 100)])
     def test_removed_key_is_unknown(self, tmp_path, capsys, section, key, value):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({**TINY_CONFIG,
@@ -174,7 +175,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("train", [
         {"val_fraction": 1.0}, {"val_fraction": -0.2}, {"eval_every": 0}, {"batch_size": 1.5},
-        {"grad_clip_norm": "x"}, {"max_steps": -3}])
+        {"grad_clip_norm": "x"}, {"max_steps": -3}, {"max_steps": None}])
     def test_ill_typed_train_setting_is_a_config_error(self, tmp_path, capsys, train):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({**TINY_CONFIG, "train": {**TINY_CONFIG["train"], **train}}))
@@ -297,6 +298,54 @@ class TestTrainEval:
         assert len(agg) == 1
         data_row = rows[1].split(",")
         assert float(data_row[2]) == 100.0  # reference is the model's own output
+
+    def test_train_with_a_file_prior_exits_1(self, tmp_path, capsys):
+        from invfold.recycling import write_embeddings
+        rows = tmp_path / "prior.ife"
+        write_embeddings(rows, np.zeros((30, 8)), "test")
+        path = tmp_path / "c.json"
+        for key in ("structure_provider", "sequence_provider"):
+            priors = {**TINY_CONFIG["priors"], key: str(rows)}
+            path.write_text(json.dumps({**TINY_CONFIG, "priors": priors}))
+            assert main(["train", "--config", str(path), "--out-dir", str(tmp_path / "run")]) == 1
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1 and err.startswith("error: train uses stub")
+        assert not (tmp_path / "run").exists()
+
+    def test_train_warns_once_when_warmup_outlasts_the_run(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**TINY_CONFIG, "train": {**TINY_CONFIG["train"],
+                                                             "warmup_steps": 4}}))
+        assert main(["train", "--config", str(path), "--out-dir", str(tmp_path / "run")]) == 0
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            "warning: train.warmup_steps (4) >= train.max_steps (4): "
+            "the learning rate never decays"]
+
+    def _eval_rows(self, dataset, tmp_path, tiny_config, capsys):
+        out_csv = tmp_path / "m.csv"
+        code = main(["eval", "--dataset", str(dataset), "--config", tiny_config,
+                     "--out", str(out_csv)])
+        err = capsys.readouterr().err
+        assert code == 0 and err == ""
+        return [row.split(",") for row in out_csv.read_text().strip().splitlines()[1:]]
+
+    def test_eval_of_a_protein_with_no_scored_residue(self, tmp_path, tiny_config, capsys):
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        write_chain_pdb(dataset / "unk.pdb", 20, resname="UNK")
+        rows = self._eval_rows(dataset, tmp_path, tiny_config, capsys)
+        assert rows == [["unk", "20", "nan", "nan", ""]]  # no AGGREGATE row
+
+    def test_eval_aggregate_skips_a_protein_with_no_scored_residue(self, tmp_path, tiny_config,
+                                                                   capsys):
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        write_chain_pdb(dataset / "a.pdb", 16)
+        write_chain_pdb(dataset / "unk.pdb", 20, resname="UNK")
+        ordinary, unk, aggregate = self._eval_rows(dataset, tmp_path, tiny_config, capsys)
+        assert unk[0] == "unk" and ordinary[0] == "a"
+        assert aggregate == ["AGGREGATE"] + ordinary[1:]
 
     def test_eval_empty_dataset_exit_1(self, tmp_path, tiny_config):
         empty = tmp_path / "nothing"

@@ -1,11 +1,16 @@
-"""Initialization, MLP blocks, and the checkpoint format."""
+"""Initialization, MLP blocks, the parameter tree, and the checkpoint format."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from invfold.autodiff import Tensor
 from invfold.errors import CheckpointMismatch, InvalidParameter
-from invfold.nn import Linear, MlpBlock, load_checkpoint, restore_parameters, save_checkpoint, xavier_uniform
+from invfold.geometry import FeatureConfig
+from invfold.nn import (LayerNorm, Linear, MlpBlock, Module, load_checkpoint, restore_parameters,
+                        save_checkpoint, xavier_uniform)
+from invfold.recycling import InverseFoldModel, ModelConfig
 from invfold.rng import RandomStream
 
 
@@ -29,6 +34,37 @@ def test_mlp_widths_validation():
         MlpBlock((8,), RandomStream(3, "m"))
     with pytest.raises(InvalidParameter):
         MlpBlock((8, 8), RandomStream(3, "m"), dropout=1.0)
+
+
+class _Holder(Module):
+    names = {"proj": "p", "blocks": "block"}
+
+    def __init__(self, stream):
+        self.width = 3
+        self.proj = Linear(3, 2, stream.child("p"), bias=False)
+        self.frozen = Tensor(np.ones(2))
+        self.blocks = [LayerNorm(2), "not a module", LayerNorm(2)]
+        self.scale = Tensor(np.ones(1), requires_grad=True)
+        self.absent = None
+
+
+def test_parameters_walk_the_attributes_in_the_order_they_were_set():
+    holder = _Holder(RandomStream(4, "tree"))
+    names = list(holder.parameters())
+    assert names == ["p.w", "block0.gain", "block0.bias", "block2.gain", "block2.bias", "scale"]
+    assert holder.parameters()["p.w"] is holder.proj.w
+    assert list(holder.parameters("top"))[:2] == ["top.p.w", "top.block0.gain"]
+
+
+def test_default_model_parameter_names_are_pinned():
+    """Checkpoint names and the order clip_gradients sums in."""
+    features = FeatureConfig()
+    model = InverseFoldModel(ModelConfig(node_dim=features.node_dim, edge_dim=features.edge_dim))
+    names = list(model.parameters())
+    assert len(names) == 129
+    assert names[6] == "stage0.stack.layer0.attn.q.w"
+    assert hashlib.sha256("\n".join(names).encode()).hexdigest() == (
+        "82508a6966440a82d19c6d9732b18c42855c6da5798ce4910d063b1604757616")
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -14,10 +14,12 @@ from invfold.structure_io import AA_INDEX
 from invfold.synthetic import toy_corpus
 from invfold.training import (
     AdamW,
+    Metrics,
     TrainConfig,
     clip_gradients,
     cosine_warmup_lr,
     metrics,
+    pool_metrics,
     staged_loss,
     staged_loss_tensor,
     train_toy,
@@ -119,6 +121,20 @@ class TestMetrics:
         idx = np.array([AA_INDEX[t] for t in truth])
         ce = -np.mean(np.log(d.probs[np.arange(10), idx]))
         assert metrics(d, truth).perplexity == pytest.approx(math.exp(ce), rel=1e-12)
+
+
+class TestPoolMetrics:
+    def test_weights_by_scored_residues(self):
+        pooled = pool_metrics([(Metrics(perplexity=2.0, recovery=50.0), 1),
+                               (Metrics(perplexity=8.0, recovery=80.0), 2)])
+        assert pooled.recovery == pytest.approx(70.0, rel=1e-15)
+        assert pooled.perplexity == pytest.approx(2.0 ** (7 / 3), rel=1e-15)
+
+    def test_skips_a_protein_with_no_scored_residue(self):
+        nan = Metrics(perplexity=float("nan"), recovery=float("nan"))
+        one = Metrics(perplexity=7.5, recovery=95.0)
+        assert pool_metrics([(nan, 0), (one, 20)]) == pool_metrics([(one, 20)])
+        assert pool_metrics([(nan, 0)]) is None and pool_metrics([]) is None
 
 
 class TestSchedule:
