@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -67,6 +68,25 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count flag: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _graph_fixture(text: str) -> str:
+    """argparse type of `theory --graph`: star<N> with N >= 1, cycle2 or 2cycle."""
+    if re.fullmatch(r"star[1-9][0-9]*|cycle2|2cycle", text):
+        return text
+    raise argparse.ArgumentTypeError(f"unknown graph fixture {text!r} (star<N> with N >= 1, "
+                                     f"or cycle2)")
 
 
 def _resolve_seed(args, cfg: RunConfig) -> int:
@@ -144,6 +164,18 @@ def _model_and_priors(cfg: RunConfig, checkpoint=None, struct_arg=None, seq_arg=
             f"provider dims ({struct_p.dim}, {seq_p.dim}) do not match config "
             f"({cfg.priors.struct_dim}, {cfg.priors.seq_dim})")
     return model, struct_p, seq_p
+
+
+def _stage_count(cfg: RunConfig, seq_p, recycles=None) -> int:
+    """The run's stage count: `recycles` (the --recycles flag) or else the
+    config's. A file sequence prior returns its stored rows for every
+    query, so each stage after the first would repeat stage 1."""
+    stages = cfg.model.recycles if recycles is None else recycles
+    if isinstance(seq_p, FileSequenceProvider) and stages > 1:
+        raise _UsageError(f"a file sequence prior gives every stage the same input, so "
+                          f"{stages} stages would repeat stage 1; use --recycles 1 "
+                          f"(or model.recycles 1)")
+    return stages
 
 
 def _read_text(path) -> str:
@@ -238,7 +270,7 @@ def cmd_infer(args) -> int:
     graph = _load_graph_for_infer(args, cfg)
     model, struct_p, seq_p = _model_and_priors(cfg, args.checkpoint, args.struct_prior,
                                                args.seq_prior)
-    recycles = args.recycles if args.recycles is not None else cfg.model.recycles
+    recycles = _stage_count(cfg, seq_p, args.recycles)
 
     result = recycle_infer(model, graph, struct_p, seq_p, recycles)
     sequence = str(result.predicted)
@@ -274,14 +306,12 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.jobs < 1:
-        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _load_cfg(args)
     pdbs = sorted(Path(args.dataset).glob("*.pdb"))
     if not pdbs:
         raise _UsageError(f"no .pdb files in {args.dataset}")
     model, struct_p, seq_p = _model_and_priors(cfg, args.checkpoint)
-    recycles = args.recycles if args.recycles is not None else cfg.model.recycles
+    recycles = _stage_count(cfg, seq_p, args.recycles)
 
     def one(path):
         backbone = parse_pdb(path.read_text(), args.chain)
@@ -362,12 +392,9 @@ def cmd_theory(args) -> int:
 
     elif args.suite == "return-mass":
         if args.graph.startswith("star"):
-            leaves = int(args.graph[4:] or 3)
-            rep = theory_mod.return_mass(theory_mod.star_attention(leaves))
-        elif args.graph in ("cycle2", "2cycle"):
-            rep = theory_mod.return_mass(theory_mod.two_cycle_attention())
+            rep = theory_mod.return_mass(theory_mod.star_attention(int(args.graph[4:])))
         else:
-            raise _UsageError(f"unknown graph fixture {args.graph!r} (try star3 or cycle2)")
+            rep = theory_mod.return_mass(theory_mod.two_cycle_attention())
         report.update({"graph": args.graph, "per_node": rep.per_node.tolist(),
                        "mean": rep.mean})
 
@@ -406,7 +433,7 @@ def cmd_theory(args) -> int:
         else:
             graph = build_knn_graph(random_backbone(cfg.seed, 24, name="theory0"),
                                     cfg.features)
-            result = recycle_infer(model, graph, struct_p, seq_p, cfg.model.recycles)
+            result = recycle_infer(model, graph, struct_p, seq_p, _stage_count(cfg, seq_p))
             losses = [staged_loss([d], graph.labels) for d in result.distributions]
             rep = theory_mod.recycling_monotonicity_report(losses)
             report.update(rep)
@@ -452,7 +479,8 @@ def build_parser() -> _Parser:
     p.add_argument("--chain", default="A")
     p.add_argument("--features", default=None, help="featurized-graph container")
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--recycles", type=int, default=None)
+    p.add_argument("--recycles", type=_positive_int, default=None,
+                   help="stages (default: model.recycles); 1 with a file --seq-prior")
     p.add_argument("--struct-prior", default=None, help="'stub' or embedding file")
     p.add_argument("--seq-prior", default=None, help="'stub' or embedding file")
     p.add_argument("--out-fasta", default=None)
@@ -466,18 +494,21 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True, help="directory of .pdb (+ optional .fasta)")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--chain", default="A")
-    p.add_argument("--recycles", type=int, default=None)
+    p.add_argument("--recycles", type=_positive_int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1, help="worker threads, at least 1")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker threads, at least 1")
     _add_common(p)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("theory", help="graph-theory diagnostic suites")
     p.add_argument("--suite", required=True, choices=_SUITES)
-    p.add_argument("--graph", default="star3", help="fixture for return-mass")
-    p.add_argument("--count", type=int, default=200, help="graphs/fixtures to sweep")
-    p.add_argument("--graphs", type=int, default=3, help="graphs for contraction")
-    p.add_argument("--eps", type=float, default=1e-4)
+    p.add_argument("--graph", type=_graph_fixture, default="star3",
+                   help="fixture for return-mass: star<N> (N >= 1) or cycle2")
+    p.add_argument("--count", type=_positive_int, default=200,
+                   help="graphs/fixtures to sweep, at least 1")
+    p.add_argument("--graphs", type=_positive_int, default=3,
+                   help="graphs for contraction, at least 1")
+    p.add_argument("--eps", type=float, default=1e-4, help="finite step > 0 for sensitivity")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--out", default=None, help="JSON report path")
     p.add_argument("--csv", default=None, help="CSV series path")

@@ -21,9 +21,13 @@ from .training import TrainConfig
 
 
 def _check_text(record, *names) -> None:
+    """InvalidParameter unless each field is a string the OS can take as a
+    path (no NUL character)."""
     for name in names:
-        if not isinstance(getattr(record, name), str):
-            raise InvalidParameter(f"{name} must be a string, got {getattr(record, name)!r}")
+        value = getattr(record, name)
+        if not isinstance(value, str) or "\0" in value:
+            raise InvalidParameter(f"{name} must be a string without NUL characters, "
+                                   f"got {value!r}")
 
 
 @dataclass

@@ -11,7 +11,8 @@ translation of the input coordinates:
          "unknown" slot used when no annotation is supplied).
   edge:  RBF encodings of the 4x4 inter-residue heavy-atom distances,
          the relative orientation quaternion between the two residues'
-         local frames, and a clamped one-hot of sequence separation.
+         local frames (Shepperd's matrix form), and a clamped one-hot
+         of sequence separation.
 
 Edge features are stored independently per orientation: the entry for
 j->i lives in receiver i's slot for neighbor j and never aliases i->j.
@@ -206,95 +207,47 @@ def dihedral_angles(backbone: ProteinBackbone):
     return angles, mask
 
 
-def rbf_centers(cfg: FeatureConfig):
+def rbf_encode(d, cfg: FeatureConfig) -> np.ndarray:
+    """Gaussian RBF encoding exp(-(d - c_m)^2 / (2 sigma^2)) of a distance
+    or an array of distances; the m centers run along a new last axis."""
+    d = np.asarray(d)
+    if np.any(d < 0):
+        raise InvalidParameter(f"distance must be >= 0, got {d.min()}")
     centers = np.linspace(cfg.rbf_min, cfg.rbf_max, cfg.rbf_count)
     sigma = (cfg.rbf_max - cfg.rbf_min) / (cfg.rbf_count - 1)
-    return centers, sigma
-
-
-def rbf_encode(d: float, cfg: FeatureConfig) -> np.ndarray:
-    """Gaussian RBF encoding exp(-(d - c_m)^2 / (2 sigma^2))."""
-    if d < 0:
-        raise InvalidParameter(f"distance must be >= 0, got {d}")
-    centers, sigma = rbf_centers(cfg)
-    return np.exp(-((d - centers) ** 2) / (2.0 * sigma**2))
-
-
-def _rbf_array(d: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
-    centers, sigma = rbf_centers(cfg)
     return np.exp(-((d[..., None] - centers) ** 2) / (2.0 * sigma**2))
 
 
 def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
     """Unit quaternion (w, x, y, z) of rotation matrices (..., 3, 3).
 
-    Uses the largest-denominator branch for stability, normalizes, and
-    fixes the sign so the scalar part is >= 0 (ties: first nonzero
-    vector component made positive).
+    Shepperd's method: row c of the symmetric matrix K is 4 q_c q; the row
+    with the largest diagonal entry 4 q_c^2 is divided by 4 |q_c|. The
+    result is normalized, with w >= 0 (ties: first nonzero vector
+    component made positive).
     """
     r = np.asarray(r, dtype=np.float64)
-    single = r.ndim == 2
-    if single:
-        r = r[None]
     shape = r.shape[:-2]
     r = r.reshape(-1, 3, 3)
-    m = r.shape[0]
-
-    t = np.empty((m, 4))
-    t[:, 0] = 1.0 + r[:, 0, 0] + r[:, 1, 1] + r[:, 2, 2]
-    t[:, 1] = 1.0 + r[:, 0, 0] - r[:, 1, 1] - r[:, 2, 2]
-    t[:, 2] = 1.0 - r[:, 0, 0] + r[:, 1, 1] - r[:, 2, 2]
-    t[:, 3] = 1.0 - r[:, 0, 0] - r[:, 1, 1] + r[:, 2, 2]
-    case = np.argmax(t, axis=1)
-    q = np.empty((m, 4))
-
-    big = 0.5 * np.sqrt(np.maximum(t[np.arange(m), case], 1e-30))
-    denom = 4.0 * big
-
-    for c in range(4):
-        sel = case == c
-        if not np.any(sel):
-            continue
-        b = big[sel]
-        d4 = denom[sel]
-        rs = r[sel]
-        if c == 0:
-            q[sel, 0] = b
-            q[sel, 1] = (rs[:, 2, 1] - rs[:, 1, 2]) / d4
-            q[sel, 2] = (rs[:, 0, 2] - rs[:, 2, 0]) / d4
-            q[sel, 3] = (rs[:, 1, 0] - rs[:, 0, 1]) / d4
-        elif c == 1:
-            q[sel, 1] = b
-            q[sel, 0] = (rs[:, 2, 1] - rs[:, 1, 2]) / d4
-            q[sel, 2] = (rs[:, 0, 1] + rs[:, 1, 0]) / d4
-            q[sel, 3] = (rs[:, 0, 2] + rs[:, 2, 0]) / d4
-        elif c == 2:
-            q[sel, 2] = b
-            q[sel, 0] = (rs[:, 0, 2] - rs[:, 2, 0]) / d4
-            q[sel, 1] = (rs[:, 0, 1] + rs[:, 1, 0]) / d4
-            q[sel, 3] = (rs[:, 1, 2] + rs[:, 2, 1]) / d4
-        else:
-            q[sel, 3] = b
-            q[sel, 0] = (rs[:, 1, 0] - rs[:, 0, 1]) / d4
-            q[sel, 1] = (rs[:, 0, 2] + rs[:, 2, 0]) / d4
-            q[sel, 2] = (rs[:, 1, 2] + rs[:, 2, 1]) / d4
-
+    rows = np.arange(len(r))
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.transpose(1, 2, 0)
+    a, b, c = r21 - r12, r02 - r20, r10 - r01
+    u, v, w = r01 + r10, r02 + r20, r12 + r21
+    K = np.moveaxis(np.array([[1.0 + r00 + r11 + r22, a, b, c],
+                              [a, 1.0 + r00 - r11 - r22, u, v],
+                              [b, u, 1.0 - r00 + r11 - r22, w],
+                              [c, v, w, 1.0 - r00 - r11 + r22]]), -1, 0)  # (m, 4, 4)
+    case = np.argmax(K.diagonal(axis1=1, axis2=2), axis=1)
+    big = 0.5 * np.sqrt(np.maximum(K[rows, case, case], 1e-30))
+    q = K[rows, case] / (4.0 * big)[:, None]
+    q[rows, case] = big
     q /= np.linalg.norm(q, axis=1, keepdims=True)
 
     # Canonical sign: scalar part >= 0; exact zeros fall through to the
     # first nonzero vector component.
-    flip = q[:, 0] < 0
-    zero_w = q[:, 0] == 0
-    if np.any(zero_w):
-        for i in np.nonzero(zero_w)[0]:
-            vec = q[i, 1:]
-            nz = np.nonzero(vec)[0]
-            if nz.size and vec[nz[0]] < 0:
-                flip[i] = True
-    q[flip] *= -1.0
-
-    q = q.reshape(*shape, 4)
-    return q[0] if single else q
+    lead = q[rows, 1 + np.argmax(q[:, 1:] != 0, axis=1)]
+    q[(q[:, 0] < 0) | ((q[:, 0] == 0) & (lead < 0))] *= -1.0
+    return q.reshape(*shape, 4)
 
 
 def _assemble(blocks: dict):
@@ -330,11 +283,9 @@ def build_knn_graph(backbone: ProteinBackbone, cfg: FeatureConfig, ss=None) -> R
 
     atom_valid = backbone.present
 
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    a_idx = np.array([p[0] for p in pairs])
-    b_idx = np.array([p[1] for p in pairs])
+    a_idx, b_idx = np.triu_indices(4, 1)  # the 6 atom pairs (0, 1), (0, 2), ..., (2, 3)
     d = np.linalg.norm(coords[:, a_idx] - coords[:, b_idx], axis=-1)  # (n, 6)
-    intra = _rbf_array(d, cfg)  # (n, 6, rbf)
+    intra = rbf_encode(d, cfg)  # (n, 6, rbf)
     intra *= (atom_valid[:, a_idx] & atom_valid[:, b_idx])[..., None]
 
     angles, mask = dihedral_angles(backbone)
@@ -342,16 +293,15 @@ def build_knn_graph(backbone: ProteinBackbone, cfg: FeatureConfig, ss=None) -> R
     trig[:, 0::2] = np.sin(angles) * mask
     trig[:, 1::2] = np.cos(angles) * mask
 
-    ss_onehot = np.zeros((n, cfg.ss_classes + 1))
     if ss is None:
-        ss_onehot[:, cfg.ss_classes] = 1.0
+        ss = np.full(n, cfg.ss_classes)
     else:
         ss = np.asarray(ss, dtype=np.int64)
         if ss.shape != (n,):
             raise InvalidParameter(f"secondary-structure annotation must have shape ({n},)")
         if np.any(ss < 0) or np.any(ss >= cfg.ss_classes):
             raise InvalidParameter(f"secondary-structure classes must lie in [0, {cfg.ss_classes})")
-        ss_onehot[np.arange(n), ss] = 1.0
+    ss_onehot = np.eye(cfg.ss_classes + 1)[ss]
 
     node_feats, node_layout = _assemble({
         "intra_rbf": intra.reshape(n, -1),
@@ -363,7 +313,7 @@ def build_knn_graph(backbone: ProteinBackbone, cfg: FeatureConfig, ss=None) -> R
     recv = coords[:, None, :, None, :]                # (n, 1, 4, 1, 3)
     send = coords[neighbors][:, :, None, :, :]        # (n, k', 1, 4, 3)
     d = np.linalg.norm(recv - send, axis=-1)          # (n, k', 4, 4)
-    inter = _rbf_array(d, cfg)                        # (n, k', 4, 4, rbf)
+    inter = rbf_encode(d, cfg)                        # (n, k', 4, 4, rbf)
     pair_valid = atom_valid[:, None, :, None] & atom_valid[neighbors][:, :, None, :]
     inter *= pair_valid[..., None]
 
@@ -374,9 +324,7 @@ def build_knn_graph(backbone: ProteinBackbone, cfg: FeatureConfig, ss=None) -> R
 
     clamp = cfg.relative_position_clamp
     sep = np.clip(neighbors - np.arange(n)[:, None], -clamp, clamp) + clamp
-    relpos = np.zeros((n, k_eff, 2 * clamp + 1))
-    ii, mm = np.meshgrid(np.arange(n), np.arange(k_eff), indexing="ij")
-    relpos[ii, mm, sep] = 1.0
+    relpos = np.eye(2 * clamp + 1)[sep]
 
     edge_feats, edge_layout = _assemble({
         "inter_rbf": inter.reshape(n, k_eff, -1),

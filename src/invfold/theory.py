@@ -251,8 +251,8 @@ def softmax_sensitivity_check(fixtures, eps: float = 1e-4) -> dict:
     second-order supremum; the report also carries the worst fitted
     curvature |measured - bound| / eps^2 actually observed.
     """
-    if eps <= 0:
-        raise InvalidParameter("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise InvalidParameter(f"eps must be finite and > 0, got {eps}")
     violations = 0
     worst_margin = -math.inf
     worst_curvature = 0.0

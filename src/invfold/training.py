@@ -344,7 +344,7 @@ def train_toy(corpus, cfg: TrainConfig, model_cfg: ModelConfig | None = None,
             opt.step(lr=cosine_warmup_lr(step, cfg, cfg.max_steps))
 
             if step % cfg.eval_every == 0 or step == cfg.max_steps:
-                record(step)
+                stage_losses, final_m = record(step)
                 if val_graphs and cfg.early_stop_patience > 0:
                     _, val_m = _evaluate(model, val_graphs, providers, recycles)
                     val_history.append({"step": step, "ppl": val_m.perplexity,
@@ -357,14 +357,7 @@ def train_toy(corpus, cfg: TrainConfig, model_cfg: ModelConfig | None = None,
                         if stale >= cfg.early_stop_patience:
                             stopped_early = True
 
-    if not log_rows or log_rows[-1]["step"] != step:
-        stage_losses, final_m = record(step)
-    else:
-        stage_losses, final_m = (
-            [r["loss"] for r in log_rows if r["step"] == step],
-            Metrics(log_rows[-1]["ppl"], log_rows[-1]["recovery"]),
-        )
-
+    # the last step is always recorded: at max_steps, or where early stopping set in
     return TrainResult(model=model, log_rows=log_rows, val_history=val_history,
                        final_metrics=final_m, stopped_step=step, stopped_early=stopped_early,
                        stage_losses=list(np.atleast_1d(stage_losses)))

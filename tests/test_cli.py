@@ -261,6 +261,25 @@ class TestInfer:
         assert main(["infer", "--pdb", pdb_file, "--chain", "A",
                      "--config", tiny_config, "--recycles", "0"]) == 1
 
+    def test_file_sequence_prior_needs_one_stage(self, tmp_path, capsys, monkeypatch):
+        """A file sequence prior returns the same rows at every stage, so
+        stages after the first would repeat stage 1."""
+        from invfold.config import RunConfig
+        from invfold.recycling import write_embeddings
+        monkeypatch.delenv("RIGA_SEED", raising=False)
+        pdb = write_chain_pdb(tmp_path / "chain.pdb", 40)
+        seq = tmp_path / "seq.ife"
+        write_embeddings(seq, np.ones((40, RunConfig().priors.seq_dim)), "test")
+        dist = tmp_path / "d.json"
+        argv = ["infer", "--pdb", pdb, "--seq-prior", str(seq), "--out-dist", str(dist)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--recycles 1" in err[0]
+        assert not dist.exists()
+        assert main(argv + ["--recycles", "1"]) == 0
+        assert len(json.loads(dist.read_text())["probs"]) == 1
+
     def test_single_residue_chain_exit_2(self, tmp_path, tiny_config):
         from conftest import residue_lines
         single = tmp_path / "one.pdb"
@@ -374,7 +393,7 @@ class TestTrainEval:
         assert main(["eval", "--dataset", str(dataset), "--config", tiny_config,
                      "--out", str(out), "--jobs", jobs]) == 1
         assert capsys.readouterr().err.strip().splitlines() == [
-            f"error: --jobs must be at least 1, got {jobs}"]
+            f"error: argument --jobs: must be at least 1, got {jobs}"]
         assert not out.exists()
 
     def test_eval_malformed_fasta_nonfatal(self, tmp_path, tiny_config, pdb_file):
@@ -421,6 +440,7 @@ CONFIG_KEYS = [("seed",)] + [(section, key)
 
 @settings(max_examples=160, deadline=None)
 @given(where=st.sampled_from(CONFIG_KEYS), value=ODD_VALUES)
+@example(where=("priors", "structure_provider"), value="\x00")
 def test_odd_config_values_exit_cleanly(tmp_path_factory, where, value):
     """Any JSON value in any config key: featurize and infer on a tiny
     chain exit 0, or 1 with one line on stderr; nothing escapes. A train
@@ -557,7 +577,8 @@ class TestSeedGuard:
             write_embeddings(tmp_path / name, np.ones((12, 8)), "test")
             priors.append(str(tmp_path / name))
         assert main(["infer", "--pdb", pdb, "--config", tiny_config, "--checkpoint", str(ckpt),
-                     "--struct-prior", priors[0], "--seq-prior", priors[1]]) == 0
+                     "--struct-prior", priors[0], "--seq-prior", priors[1],
+                     "--recycles", "1"]) == 0
         assert main(["infer", "--pdb", pdb, "--config", tiny_config, "--checkpoint", str(ckpt),
                      "--struct-prior", priors[0]]) == 3
         bare = tmp_path / "bare.ifc"
@@ -658,6 +679,26 @@ class TestTheoryCli:
 
     def test_unknown_graph_exit_1(self):
         assert main(["theory", "--suite", "return-mass", "--graph", "mystery"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["theory", "--suite", "contraction", "--graphs", "0"],
+        ["theory", "--suite", "contraction", "--graphs", "-1"],
+        ["theory", "--suite", "return-mass", "--graph", "star0"],
+        ["theory", "--suite", "return-mass", "--graph", "starx"],
+        ["theory", "--suite", "resistance", "--count", "0"],
+        ["theory", "--suite", "resistance", "--count", "-3"],
+        ["theory", "--suite", "sensitivity", "--eps", "nan"],
+        ["theory", "--suite", "sensitivity", "--eps", "inf"],
+        ["eval", "--dataset", "{dataset}", "--recycles", "0"],
+    ])
+    def test_out_of_range_flag_exit_1(self, argv, pdb_file, capsys):
+        argv = [a.format(dataset=Path(pdb_file).parent) for a in argv]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "Traceback" not in captured.err + captured.out
 
     def test_unknown_suite_exit_1(self):
         assert main(["theory", "--suite", "nonsense"]) == 1

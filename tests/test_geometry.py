@@ -173,6 +173,39 @@ class TestRbf:
         enc = rbf_encode(d, FeatureConfig(rbf_count=8, rbf_min=0.0, rbf_max=20.0))
         assert np.all(enc > 0.0) and np.all(enc <= 1.0)
 
+    def test_array_equals_stacked_scalars(self):
+        cfg = FeatureConfig(rbf_count=16, rbf_min=0.0, rbf_max=20.0)
+        d = np.array([[0.0, 0.5, 3.7], [12.25, 20.0, 31.0]])
+        stacked = np.stack([rbf_encode(x, cfg) for x in d.ravel()]).reshape(2, 3, 16)
+        assert rbf_encode(d, cfg).tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("index", [(0, 0), (0, 2), (1, 1)])
+    def test_negative_entry_in_array(self, index):
+        d = np.full((2, 3), 4.0)
+        d[index] = -1e-9
+        with pytest.raises(InvalidParameter):
+            rbf_encode(d, FeatureConfig())
+
+
+def half_turn(axis):
+    """The 180-degree rotation about `axis`, exactly symmetric."""
+    u = np.asarray(axis, dtype=np.float64) / np.linalg.norm(axis)
+    return 2.0 * np.outer(u, u) - np.eye(3)
+
+
+# One rotation per pivot row of the quaternion construction (w, x, y, z
+# largest), plus half turns about generic axes, where w is exactly 0 and the
+# sign falls to the first nonzero vector component.
+BRANCH_ROTATIONS = {
+    "near_identity": Rotation.from_rotvec([1e-3, -2e-3, 5e-4]).as_matrix(),
+    "half_turn_x": np.diag([1.0, -1.0, -1.0]),
+    "half_turn_y": np.diag([-1.0, 1.0, -1.0]),
+    "half_turn_z": np.diag([-1.0, -1.0, 1.0]),
+    "half_turn_u": half_turn([1.0, -2.0, 3.0]),
+    "half_turn_minus_u": half_turn([-1.0, 2.0, -3.0]),
+    "half_turn_flipped_lead": half_turn([1.0, 2.0, -3.0]),
+}
+
 
 def relative_quaternion(basis_i, basis_j):
     """The orientation feature of the edge j -> i, from the two bases."""
@@ -208,6 +241,33 @@ class TestRelativeOrientation:
         ref = np.concatenate([ref[:, 3:4], ref[:, :3]], axis=1)
         ref[ref[:, 0] < 0] *= -1.0
         assert np.max(np.abs(ours - ref)) < 1e-9
+
+    @pytest.mark.parametrize("name", BRANCH_ROTATIONS)
+    def test_branch_rotation(self, name):
+        r = BRANCH_ROTATIONS[name]
+        q = rotation_to_quaternion(r)
+        assert abs(np.linalg.norm(q) - 1.0) < 1e-12
+        assert q[0] >= 0
+        if q[0] == 0:
+            assert q[1:][np.nonzero(q[1:])[0][0]] > 0
+        rebuilt = Rotation.from_quat(np.concatenate([q[1:], q[:1]])).as_matrix()
+        assert np.max(np.abs(rebuilt - r)) < 1e-12
+
+    def test_half_turn_values(self):
+        u = np.array([1.0, 2.0, -3.0]) / math.sqrt(14.0)
+        expected = {"half_turn_x": [0, 1, 0, 0], "half_turn_y": [0, 0, 1, 0],
+                    "half_turn_z": [0, 0, 0, 1], "half_turn_u": [0, 1, -2, 3] / np.sqrt(14.0),
+                    "half_turn_minus_u": [0, 1, -2, 3] / np.sqrt(14.0),
+                    "half_turn_flipped_lead": np.concatenate([[0.0], u])}
+        for name, q in expected.items():
+            assert np.allclose(rotation_to_quaternion(BRANCH_ROTATIONS[name]), q, atol=1e-12), name
+
+    def test_single_equals_batched(self):
+        mats = np.stack(list(BRANCH_ROTATIONS.values()))
+        batched = rotation_to_quaternion(mats)
+        assert batched.shape == (len(mats), 4)
+        single = np.stack([rotation_to_quaternion(r) for r in mats])
+        assert single.tobytes() == batched.tobytes()
 
     def test_unit_norm(self):
         stream = RandomStream(17, "rots")
