@@ -27,17 +27,23 @@ never turns recording off, or back on, in another; blocks nest and
 restore the enclosing state on exit, also when the body raises. Values
 are the same with or without a tape.
 
-The per-edge MLP of the encoder is one op, `edge_mlp`: its forward runs
-over blocks of receivers so the hidden activations stay in cache between
-the two GEMMs, and its tape keeps the pre-activation and the dropout
-mask, not the hidden activation.
+The two per-edge blocks of the encoder are one op each:
+- `edge_mlp`, the residual per-edge MLP, runs over blocks of receivers
+  so the hidden activations stay in cache between the two GEMMs; its
+  tape keeps the pre-activation and the dropout mask, not the hidden
+  activation.
+- `edge_attention`, edge-keyed attention, never forms a key or a value
+  per edge: it pulls each query back through W_K and pools the inputs of
+  the values with alpha before W_V. The gathered senders exist one
+  receiver block at a time, in forward and again in backward; its tape
+  keeps alpha, the pulled-back queries and the pooled rows.
 
-Gradients of row gathers (`take_rows`, the sender term of `edge_mlp`)
-are sorted-segment sums (`scatter_rows`): the gradient rows are grouped
-by the row they were gathered from and each group is summed. The sort
-plan depends only on the index array, so it is built once per distinct
-index, on the first backward pass that needs it, and reused by every
-later op and pass; inference never builds one.
+Gradients of row gathers (`take_rows`, the sender terms of `edge_mlp`
+and `edge_attention`) are sorted-segment sums (`scatter_rows`): the
+gradient rows are grouped by the row they were gathered from and each
+group is summed. The sort plan depends only on the index array, so it
+is built once per distinct index, on the first backward pass that needs
+it, and reused by every later op and pass; inference never builds one.
 
 `check_gradient` is the independent oracle: central finite differences
 re-evaluating the user's closure, never touching the tape internals.
@@ -250,28 +256,12 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """a @ b; axes before the last two are batch axes and broadcast as in
-    numpy, and the gradient is summed back over any broadcast."""
+    """a @ b for two matrices."""
     a, b = as_tensor(a), as_tensor(b)
     x, y = a.data, b.data
-    sa, sb = x.shape, y.shape
-    if x.ndim < 2 or y.ndim < 2:
-        raise NumericError("matmul expects operands with at least 2 dimensions")
-    return _make(
-        x @ y,
-        [
-            (a, lambda g: _unbroadcast(g @ np.swapaxes(y, -1, -2), sa)),
-            (b, lambda g: _unbroadcast(np.swapaxes(x, -1, -2) @ g, sb)),
-        ],
-        "matmul",
-    )
-
-
-def transpose(a, axes) -> Tensor:
-    """Permute the axes of a (a view); backward applies the inverse."""
-    a = as_tensor(a)
-    inverse = tuple(np.argsort(axes))
-    return _make(a.data.transpose(axes), [(a, lambda g: g.transpose(inverse))], "transpose")
+    if x.ndim != 2 or y.ndim != 2:
+        raise NumericError(f"matmul expects two matrices, got shapes {x.shape} and {y.shape}")
+    return _make(x @ y, [(a, lambda g: g @ y.T), (b, lambda g: x.T @ g)], "matmul")
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -293,8 +283,8 @@ def linear(x, w, b=None) -> Tensor:
     return _make(out.reshape(*shape[:-1], d_out), parents, "linear")
 
 
-# edge rows per block of `edge_mlp`'s forward: a block's hidden buffers
-# stay in cache between the two GEMMs
+# edge rows per receiver block of `edge_mlp` and `edge_attention`: a
+# block's hidden buffers, or its gathered senders, stay in cache
 EDGE_ROWS = 512
 
 
@@ -397,47 +387,92 @@ def edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep=None, scale: float = 1.0) -> 
     ], "edge_mlp")
 
 
-def edge_scores(q, e, w, heads: int) -> Tensor:
-    """Per-head scores of node queries against edge keys, q_i . (e_ji w).
+def edge_attention(q, h, e, neighbors, w_k, w_v, heads: int):
+    """Edge-keyed attention as one op: (h_local, alpha).
 
-    q: (n, d), e: (n, k, d_e), w: (d_e, d) with d = heads * d_k
-    -> (n, k, heads). The keys never materialize per edge: each query is
-    pulled back through its head's columns of w into edge space first,
-    (w_h q_i) . e_ji, so the edge work is a (k, d_e) x (d_e, heads)
-    product per node instead of an (n k, d_e) x (d_e, d) GEMM.
+    q, h: (n, d) queries and node states, e: (n, k, d_e) edge states,
+    neighbors: (n, k) senders, w_k: (d_e, d), w_v: (2 d + d_e, d), with
+    d = heads * d_k. Per head, alpha_ji = softmax_j(q_i . (e_ji w_k) /
+    sqrt(d_k)) and h_local_i = sum_j alpha_ji [h_i || e_ji || h_j] w_v.
+    alpha (n, k, heads) comes back as a Tensor that needs no gradient;
+    non-finite scores raise NumericError.
+
+    Both are linear in the key and the value, so neither exists per edge:
+    each query is pulled back through its head's columns of w_k once per
+    node, and each head pools [(sum_j alpha) h_i || sum_j alpha e_ji ||
+    sum_j alpha h_j] before its columns of w_v. h_j is gathered one block
+    of receivers (about EDGE_ROWS edges) at a time, in forward and again
+    in backward, which sums the sender gradient with `scatter_rows`. The
+    tape keeps alpha, the pulled-back queries and the pool.
     """
-    q, e, w = as_tensor(q), as_tensor(e), as_tensor(w)
-    n, d = q.shape
-    d_e, d_k = w.shape[0], d // heads
-    q_heads = transpose(reshape(q, (n, heads, d_k)), (1, 0, 2))     # (heads, n, d_k)
-    w_heads = transpose(reshape(w, (d_e, heads, d_k)), (1, 2, 0))   # (heads, d_k, d_e)
-    q_edge = matmul(q_heads, w_heads)                               # (heads, n, d_e)
-    return matmul(e, transpose(q_edge, (1, 2, 0)))                  # (n, k, heads)
+    q, h, e, w_k, w_v = (as_tensor(t) for t in (q, h, e, w_k, w_v))
+    qd, hd, ed, wkd, wvd = q.data, h.data, e.data, w_k.data, w_v.data
+    n, d = hd.shape
+    k, d_e = ed.shape[1:]
+    d_k, d_in = d // heads, wvd.shape[0]
+    scale = 1.0 / math.sqrt(d_k)
+    step = max(1, EDGE_ROWS // max(k, 1))
 
+    wk_heads = wkd.reshape(d_e, heads, d_k)                    # (d_e, heads, d_k)
+    q_heads = qd.reshape(n, heads, d_k).transpose(1, 0, 2)     # (heads, n, d_k)
+    q_edge = q_heads @ wk_heads.transpose(1, 2, 0)             # (heads, n, d_e)
+    scores = ed @ q_edge.transpose(1, 2, 0)                    # (n, k, heads)
+    alpha = _softmax_array(scores * scale, axis=1)
+    alpha_t = alpha.transpose(0, 2, 1)                         # (n, heads, k)
 
-def attn_combine(alpha, h, e, neighbors, w, heads: int) -> Tensor:
-    """Per-head sum_j alpha_ji v_ji with v_ji = [h_i || e_ji || h_j] w.
+    pool_j = np.empty((n, heads, d), np.result_type(alpha, hd))
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        np.matmul(alpha_t[r0:r1], hd[neighbors[r0:r1]], out=pool_j[r0:r1])
+    pooled = np.concatenate([alpha.sum(axis=1).reshape(n, heads, 1) * hd.reshape(n, 1, d),
+                             alpha_t @ ed, pool_j], axis=2)    # (n, heads, d_in)
+    wv_heads = wvd.reshape(d_in, heads, -1).transpose(1, 0, 2)  # (heads, d_in, d_v)
+    out = pooled.transpose(1, 0, 2) @ wv_heads                 # (heads, n, d_v)
+    h_local = out.transpose(1, 0, 2).reshape(n, d)
+    inputs = (q, h, e, w_k, w_v)
+    if not (grad_enabled() and any(t.requires_grad for t in inputs)):
+        return _make(h_local, [], "edge_attention"), Tensor(alpha)
 
-    alpha: (n, k, heads), h: (n, d), e: (n, k, d_e), neighbors: (n, k)
-    sender indices, w: (2 d + d_e, d_out) with d_out = heads * d_v
-    -> (n, d_out). The sum is linear in v, so it runs on the inputs:
-    each head first pools [(sum_j alpha) h_i || sum_j alpha e_ji ||
-    sum_j alpha h_j] with one (heads, k) x (k, .) product per node, then
-    projects the pool by its own columns of w. Values never materialize
-    per edge.
-    """
-    alpha, h, e, w = as_tensor(alpha), as_tensor(h), as_tensor(e), as_tensor(w)
-    n, d = h.shape
-    d_in, d_v = w.shape[0], w.shape[1] // heads
-    alpha_t = transpose(alpha, (0, 2, 1))                           # (n, heads, k)
-    pooled = concat([
-        mul(reshape(tsum(alpha, axis=1), (n, heads, 1)), reshape(h, (n, 1, d))),
-        matmul(alpha_t, e),
-        matmul(alpha_t, take_rows(h, neighbors)),
-    ], axis=2)                                                      # (n, heads, d_in)
-    w_heads = transpose(reshape(w, (d_in, heads, d_v)), (1, 0, 2))  # (heads, d_in, d_v)
-    out = matmul(transpose(pooled, (1, 0, 2)), w_heads)             # (heads, n, d_v)
-    return reshape(transpose(out, (1, 0, 2)), (n, heads * d_v))
+    memo = {}
+
+    def grads(g):
+        # every input's gradient, computed once per backward; each VJP
+        # pops its own
+        if memo:
+            return memo
+        g_heads = g.reshape(n, heads, -1).transpose(1, 0, 2)   # (heads, n, d_v)
+        g_w_v = (pooled.transpose(1, 2, 0) @ g_heads).transpose(1, 0, 2).reshape(d_in, d)
+        g_pool = (g_heads @ wv_heads.transpose(0, 2, 1)).transpose(1, 0, 2)  # (n, heads, d_in)
+        g_self, g_e, g_j = g_pool[:, :, :d], g_pool[:, :, d:d + d_e], g_pool[:, :, d + d_e:]
+        # alpha's gradient from the three pooled terms; the sender term
+        # gathers h_j again, one block at a time
+        g_alpha = ed @ g_e.transpose(0, 2, 1)                  # (n, k, heads)
+        g_alpha += (g_self @ hd[:, :, None]).transpose(0, 2, 1)
+        g_edge_j = alpha @ g_j                                 # (n, k, d)
+        for r0 in range(0, n, step):
+            r1 = min(n, r0 + step)
+            g_alpha[r0:r1] += hd[neighbors[r0:r1]] @ g_j[r0:r1].transpose(0, 2, 1)
+        g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(axis=1, keepdims=True))
+        g_scores *= scale
+        g_q_edge = g_scores.transpose(0, 2, 1) @ ed            # (n, heads, d_e)
+        g_q_edge_heads = g_q_edge.transpose(1, 0, 2)           # (heads, n, d_e)
+        memo.update(
+            q=(g_q_edge_heads @ wk_heads.transpose(1, 0, 2)).transpose(1, 0, 2).reshape(n, d),
+            w_k=(g_q_edge_heads.transpose(0, 2, 1) @ q_heads).transpose(1, 0, 2).reshape(d_e, d),
+            w_v=g_w_v,
+            e=alpha @ g_e + g_scores @ q_edge.transpose(1, 0, 2),
+            h=(g_self * alpha.sum(axis=1)[:, :, None]).sum(axis=1)
+            + scatter_rows(g_edge_j, neighbors, n),
+        )
+        return memo
+
+    return _make(h_local, [
+        (q, lambda g: grads(g).pop("q")),
+        (h, lambda g: grads(g).pop("h")),
+        (e, lambda g: grads(g).pop("e")),
+        (w_k, lambda g: grads(g).pop("w_k")),
+        (w_v, lambda g: grads(g).pop("w_v")),
+    ], "edge_attention"), Tensor(alpha)
 
 
 def reshape(a, shape) -> Tensor:
@@ -597,14 +632,18 @@ def gelu(a) -> Tensor:
                  [(a, lambda g: g * _gelu_slope(_gelu_parts(x)))], "gelu")
 
 
+def _softmax_array(x: np.ndarray, axis) -> np.ndarray:
+    """Max-shifted softmax of an array; non-finite input raises NumericError."""
+    if not np.all(np.isfinite(x)):
+        raise NumericError("softmax input is not finite")
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a, axis=-1) -> Tensor:
     """Max-shifted softmax; non-finite input raises NumericError."""
     a = as_tensor(a)
-    if not np.all(np.isfinite(a.data)):
-        raise NumericError("softmax input is not finite")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = _softmax_array(a.data, axis)
 
     def vjp(g):
         dot = (g * out).sum(axis=axis, keepdims=True)

@@ -14,6 +14,8 @@ embedding file); docs/formats.md lists which.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -36,6 +38,7 @@ from .errors import (
     InvfoldError,
     ParseError,
     ShapeError,
+    read_text,
 )
 from .geometry import build_knn_graph, read_graph, write_graph
 from .nn import load_checkpoint, restore_parameters, save_checkpoint
@@ -179,10 +182,11 @@ def _stage_count(cfg: RunConfig, seq_p, recycles=None) -> int:
 
 
 def _read_text(path) -> str:
-    p = Path(path)
-    if not p.is_file():
+    """A PDB, FASTA or --ss input as text: a missing file is a usage error,
+    a byte that is not UTF-8 a ParseError naming the file and the offset."""
+    if not Path(path).is_file():
         raise _UsageError(f"no such file: {path}")
-    return p.read_text()
+    return read_text(path, ParseError)
 
 
 def cmd_featurize(args) -> int:
@@ -228,7 +232,7 @@ def cmd_train(args) -> int:
         if not pdbs:
             raise _UsageError(f"no .pdb files in {args.corpus}")
         for p in pdbs:
-            corpus.append(parse_pdb(p.read_text(), args.chain))
+            corpus.append(parse_pdb(_read_text(p), args.chain))
     else:
         corpus = toy_corpus(cfg.seed)
 
@@ -314,7 +318,7 @@ def cmd_eval(args) -> int:
     recycles = _stage_count(cfg, seq_p, args.recycles)
 
     def one(path):
-        backbone = parse_pdb(path.read_text(), args.chain)
+        backbone = parse_pdb(_read_text(path), args.chain)
         graph = build_knn_graph(backbone, cfg.features)
         result = recycle_infer(model, graph, struct_p, seq_p, recycles)
         ref = backbone.sequence
@@ -341,22 +345,25 @@ def cmd_eval(args) -> int:
     with ThreadPoolExecutor(max_workers=min(args.jobs, len(pdbs))) as pool:
         rows = list(pool.map(row, pdbs))
 
-    lines = ["protein,n,recovery,ppl,error"]
+    table = [("protein", "n", "recovery", "ppl", "error")]
     for r in rows:
         if "error" in r:
-            lines.append(f"{r['protein']},,,,\"{r['error']}\"")
+            table.append((r["protein"], "", "", "", r["error"]))
         else:
             m = r["metrics"]
-            lines.append(f"{r['protein']},{r['n']},{m.recovery:.6g},{m.perplexity:.6g},")
+            table.append((r["protein"], r["n"], f"{m.recovery:.6g}", f"{m.perplexity:.6g}", ""))
     # a protein with no scored residue has no figures to pool
     scored = [r for r in rows if r.get("scored")]
     pooled = pool_metrics([(r["metrics"], r["scored"]) for r in scored])
     if pooled is not None:
-        lines.append(f"AGGREGATE,{sum(r['n'] for r in scored)},{pooled.recovery:.6g},"
-                     f"{pooled.perplexity:.6g},")
+        table.append(("AGGREGATE", sum(r["n"] for r in scored), f"{pooled.recovery:.6g}",
+                      f"{pooled.perplexity:.6g}", ""))
+    # csv quotes a field that holds a comma, a quote or a newline
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(table)
     out = args.out or "metrics.csv"
-    Path(out).write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    Path(out).write_text(text.getvalue())
+    print(text.getvalue(), end="")
     print(f"metrics -> {out}")
     return EXIT_OK
 

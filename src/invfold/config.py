@@ -13,7 +13,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, InvalidParameter, check_count
+from .errors import ConfigError, InvalidParameter, check_count, read_text
 from .geometry import FeatureConfig
 from .recycling import ModelConfig
 from .rng import GENERATOR_NAME
@@ -117,8 +117,7 @@ def load_config(path=None) -> RunConfig:
     if path is None:
         return RunConfig()
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        raw = json.loads(read_text(path, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -20,7 +20,6 @@ adjacency are always distinct entries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,18 +108,12 @@ def gau_attention(h: Tensor, e: Tensor, neighbors: np.ndarray, params: Attention
 
     Returns (h_local, alpha) with alpha of shape (n, k', heads).
     """
-    n, k = neighbors.shape
-    if k < 1:
+    if neighbors.shape[1] < 1:
         raise IsolatedNode("attention requires at least one neighbor per node")
-    heads, d_k = params.heads, params.d_k
-
-    q = params.w_q(h)                                   # (n, d)
-    # keys and values never materialize per edge: the score is linear in
-    # the key and the attention sum in the value (ad.edge_scores, ad.attn_combine)
-    logits = ad.mul(ad.edge_scores(q, e, params.w_k.w, heads), 1.0 / math.sqrt(d_k))
-    alpha = ad.softmax(logits, axis=1)                  # (n, k, heads)
-    h_local = ad.attn_combine(alpha, h, e, neighbors, params.w_v.w, heads)
-    return h_local, alpha
+    # keys, values and the gathered senders never materialize per edge
+    # (ad.edge_attention); alpha comes back as a Tensor with no gradient
+    return ad.edge_attention(params.w_q(h), h, e, neighbors, params.w_k.w, params.w_v.w,
+                             params.heads)
 
 
 def edge_update(h: Tensor, e: Tensor, neighbors: np.ndarray, mlp: MlpBlock,

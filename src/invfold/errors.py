@@ -1,7 +1,9 @@
-"""Exception hierarchy shared across the package, and the size and
-number checks that the config records share."""
+"""Exception hierarchy shared across the package, the size and number
+checks that the config records share, and the one read of a UTF-8 text
+input."""
 
 import numbers
+from pathlib import Path
 
 
 class InvfoldError(Exception):
@@ -26,6 +28,18 @@ class InvalidRotation(InvfoldError):
 
 class InvalidParameter(InvfoldError):
     """Parameter outside its documented range."""
+
+
+def read_text(path, error: type) -> str:
+    """The text of a UTF-8 file, newlines read as by `open`. A byte that
+    does not decode raises `error`, naming the file and the byte's offset."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte 0x{data[exc.start]:02x} at offset "
+                    f"{exc.start})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def check_count(record, name: str, low: int) -> None:

@@ -28,6 +28,7 @@ from .errors import (
     InvalidParameter,
     InvalidRotation,
     ParseError,
+    read_text,
 )
 from .rng import RandomStream
 
@@ -267,8 +268,7 @@ def write_fasta(path, header: str, sequence: str) -> None:
 
 def read_fasta_file(path) -> list:
     """[(header, sequence)] pairs; raises ParseError on non-FASTA text."""
-    with open(path) as fh:
-        text = fh.read()
+    text = read_text(path, ParseError)
     entries = []
     header = None
     chunks: list = []

@@ -273,8 +273,11 @@ class TestOpGradients:
         explicit = ad.add(e, ad.linear(hidden, w2, b2))
         assert np.max(np.abs(fused.data - explicit.data)) < 1e-12
 
-    def test_edge_scores_and_combine(self):
-        neighbors = np.array([[1, 2], [0, 2], [1, 0]])
+    @pytest.mark.parametrize("edge_rows", [ad.EDGE_ROWS, 2], ids=["one-block", "row-blocks"])
+    def test_edge_attention_gradient(self, monkeypatch, edge_rows):
+        monkeypatch.setattr(ad, "EDGE_ROWS", edge_rows)
+        # receiver 2 names sender 1 twice, so the sender gradient sums a segment
+        neighbors = np.array([[1, 2], [0, 2], [1, 1]])
         q = param((3, 4), seed=36)
         h = param((3, 4), seed=37)
         e = param((3, 2, 3), seed=38)
@@ -283,40 +286,56 @@ class TestOpGradients:
         w = rand((3, 4), seed=41)
 
         def f():
-            scores = ad.edge_scores(q, e, wk, heads=2)
-            alpha = ad.softmax(scores, axis=1)
-            return ad.tsum(ad.mul(ad.attn_combine(alpha, h, e, neighbors, wv, heads=2), w))
+            h_local, _ = ad.edge_attention(q, h, e, neighbors, wk, wv, heads=2)
+            return ad.tsum(ad.mul(h_local, w))
 
         params = {"q": q, "h": h, "e": e, "wk": wk, "wv": wv}
         assert check_gradient(f, params, eps=1e-6) < 1e-6
 
-    def test_edge_scores_and_combine_match_materialized_keys_and_values(self):
+    # (40, 30) runs in blocks of EDGE_ROWS // 30 receivers with a short
+    # last block; k > EDGE_ROWS puts one receiver in each block
+    @pytest.mark.parametrize("n,k", [(6, 4), (40, 30), (3, ad.EDGE_ROWS + 8)])
+    def test_edge_attention_matches_materialized_keys_and_values(self, n, k):
         rng = np.random.default_rng(5)
-        n, k, d, d_e, heads = 6, 4, 8, 5, 2
-        neighbors = np.array([rng.permutation(n)[:k] for _ in range(n)])
+        d, d_e, heads = 8, 5, 2
+        neighbors = rng.integers(0, n, (n, k))
         q, h = rng.standard_normal((n, d)), rng.standard_normal((n, d))
         e = rng.standard_normal((n, k, d_e))
         wk, wv = rng.standard_normal((d_e, d)), rng.standard_normal((2 * d + d_e, d))
-        alpha = rng.random((n, k, heads))
         keys = (e @ wk).reshape(n, k, heads, d // heads)
-        ref_scores = np.einsum("nhc,nkhc->nkh", q.reshape(n, heads, -1), keys)
-        assert np.max(np.abs(ad.edge_scores(q, e, wk, heads).data - ref_scores)) < 1e-12
+        scores = np.einsum("nhc,nkhc->nkh", q.reshape(n, heads, -1), keys) / np.sqrt(d // heads)
+        ref_alpha = np.exp(scores - scores.max(axis=1, keepdims=True))
+        ref_alpha /= ref_alpha.sum(axis=1, keepdims=True)
         h_i = np.repeat(h[:, None, :], k, axis=1)
         values = (np.concatenate([h_i, e, h[neighbors]], axis=2) @ wv).reshape(n, k, heads, -1)
-        ref_out = np.einsum("nkh,nkhv->nhv", alpha, values).reshape(n, d)
-        out = ad.attn_combine(alpha, h, e, neighbors, wv, heads).data
-        assert np.max(np.abs(out - ref_out)) < 1e-12
+        ref_out = np.einsum("nkh,nkhv->nhv", ref_alpha, values).reshape(n, d)
+        args = (Tensor(e), neighbors, Tensor(wk), Tensor(wv), heads)
+        with ad.no_grad():
+            untaped, alpha = ad.edge_attention(Tensor(q), Tensor(h), *args)
+        taped, taped_alpha = ad.edge_attention(Tensor(q), Tensor(h, requires_grad=True), *args)
+        assert untaped._node is None and taped._node is not None
+        assert not alpha.requires_grad and not taped_alpha.requires_grad
+        assert np.max(np.abs(alpha.data - ref_alpha)) < 1e-12
+        assert np.max(np.abs(untaped.data - ref_out)) < 1e-12
+        assert np.array_equal(taped.data, untaped.data)
+        assert np.array_equal(taped_alpha.data, alpha.data)
 
-    def test_batched_matmul_broadcast_gradient(self):
-        a = param((3, 4, 2), seed=42)
-        b = param((4, 5), seed=43)
-        w = rand((2, 3, 5), seed=44)
+    def test_edge_attention_tape_keeps_no_gathered_senders(self):
+        n, k, d, d_e, heads = 9, 4, 8, 5, 2
+        rng = np.random.default_rng(6)
+        neighbors = rng.integers(0, n, (n, k))
+        q, h, e, wk, wv = (Tensor(rng.standard_normal(shape), requires_grad=True)
+                           for shape in ((n, d), (n, d), (n, k, d_e), (d_e, d), (2 * d + d_e, d)))
+        out, _ = ad.edge_attention(q, h, e, neighbors, wk, wv, heads)
+        # alpha, the pulled-back queries, the pool, the five inputs and the index
+        held = 8 * (n * k * heads + heads * n * d_e + n * heads * (2 * d + d_e))
+        held += sum(t.data.nbytes for t in (q, h, e, wk, wv)) + neighbors.nbytes
+        # the op, its five leaves and the sum
+        assert ad.tape_stats(ad.tsum(out)) == (7, held)
 
-        def f():
-            # (3, 4, 2) -> (2, 3, 4); b broadcasts over the batch axis
-            return ad.tsum(ad.mul(ad.matmul(ad.transpose(a, (2, 0, 1)), b), w))
-
-        assert check_gradient(f, {"a": a, "b": b}, eps=1e-6) < 1e-6
+    def test_matmul_takes_only_matrices(self):
+        with pytest.raises(NumericError):
+            ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 5))))
 
     def test_matmul_chain_finite_difference(self):
         w1 = param((4, 8), seed=40)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and the exit-code contract."""
 
 import copy
+import csv
 import io
 import json
 import os
@@ -839,3 +840,86 @@ class TestMalformedInput:
         assert main(["featurize", pdb_file, "--chain", "A", "--out", str(tmp_path / "g.ifg"),
                      "--ss", str(ss), "--config", tiny_config]) == 2
         assert "--ss" in capsys.readouterr().err
+
+    # a Latin-1 byte in an author remark or a FASTA header: not UTF-8
+    LATIN1 = b"REMARK   1 AUTHOR J. M\xe9ndez\n"
+
+    @pytest.mark.parametrize("entry", ["featurize", "infer-pdb", "featurize-ss", "infer-ref-seq",
+                                       "train-corpus", "config"])
+    def test_non_utf8_text_input_is_one_typed_line(self, tmp_path, tiny_config, capsys, entry):
+        good = write_chain_pdb(tmp_path / "good.pdb", 20)
+        bad = tmp_path / "data" / "bad.pdb"
+        bad.parent.mkdir()
+        bad.write_bytes(self.LATIN1 + Path(good).read_bytes())
+        other = tmp_path / "other.txt"
+        other.write_bytes(b"[0, 1] \xe9" if entry == "featurize-ss" else b">ref M\xe9ndez\nACD\n")
+        config = tmp_path / "latin1.json"
+        config.write_bytes(b" \xe9" + json.dumps(TINY_CONFIG).encode())
+        out = str(tmp_path / "g.ifg")
+        argv, code, prefix, name, offset = {
+            "featurize": (["featurize", str(bad), "--chain", "A", "--out", out],
+                          2, "parse error:", bad, 22),
+            "infer-pdb": (["infer", "--pdb", str(bad)], 2, "parse error:", bad, 22),
+            "featurize-ss": (["featurize", good, "--chain", "A", "--out", out, "--ss", str(other)],
+                             2, "parse error:", other, 7),
+            "infer-ref-seq": (["infer", "--pdb", good, "--ref-seq", str(other)],
+                              2, "parse error:", other, 6),
+            "train-corpus": (["train", "--corpus", str(bad.parent), "--out-dir", str(tmp_path / "r")],
+                             2, "parse error:", bad, 22),
+            "config": (["infer", "--pdb", good], 1, "config error:", config, 1),
+        }[entry]
+        argv += ["--config", str(config) if entry == "config" else tiny_config]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [f"{prefix} {name}: not UTF-8 text (byte 0xe9 at offset {offset})"]
+
+    def test_non_utf8_pdb_in_eval_is_that_proteins_error_row(self, tmp_path, tiny_config, capsys):
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        write_chain_pdb(dataset / "a.pdb", 16)
+        good = write_chain_pdb(tmp_path / "good.pdb", 20)
+        (dataset / "bad.pdb").write_bytes(self.LATIN1 + Path(good).read_bytes())
+        out = tmp_path / "m.csv"
+        assert main(["eval", "--dataset", str(dataset), "--config", tiny_config,
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = list(csv.reader(out.open(newline="")))
+        assert rows[1][0] == "a" and rows[2][:4] == ["bad", "", "", ""]
+        assert rows[2][4] == f"{dataset / 'bad.pdb'}: not UTF-8 text (byte 0xe9 at offset 22)"
+        assert rows[3][0] == "AGGREGATE"
+
+
+class TestEvalCsv:
+    """`eval` rows read back through csv.reader as five fields, whatever
+    the file names and error messages hold."""
+
+    @staticmethod
+    def _read(dataset, tmp_path, tiny_config):
+        out = tmp_path / "m.csv"
+        assert main(["eval", "--dataset", str(dataset), "--config", tiny_config,
+                     "--out", str(out)]) == 0
+        rows = list(csv.reader(out.open(newline="")))
+        assert rows[0] == ["protein", "n", "recovery", "ppl", "error"]
+        assert all(len(r) == 5 for r in rows)
+        return out.read_text().splitlines(), rows[1:]
+
+    def test_comma_in_a_file_name(self, tmp_path, tiny_config):
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        write_chain_pdb(dataset / "a,b.pdb", 20)
+        lines, rows = self._read(dataset, tmp_path, tiny_config)
+        assert rows[0][:2] == ["a,b", "20"] and rows[0][4] == ""
+        # the metric fields and the AGGREGATE row stay unquoted
+        assert lines[1].startswith('"a,b",20,') and lines[1].endswith(",")
+        assert lines[2] == ",".join(["AGGREGATE"] + rows[0][1:])
+
+    def test_double_quote_in_an_error_message(self, tmp_path, tiny_config):
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        lines = Path(write_chain_pdb(dataset / "q.pdb", 20)).read_text().splitlines()
+        lines[5] = lines[5][:38] + '  1"5.08' + lines[5][46:]
+        (dataset / "q.pdb").write_text("\n".join(lines) + "\n")
+        _, rows = self._read(dataset, tmp_path, tiny_config)
+        assert rows == [["q", "", "", "", "line 6: malformed ATOM record (could not convert "
+                         "string to float: '  1\"5.08')"]]

@@ -5,6 +5,7 @@ with explicit per-node/per-edge python loops, sharing only the
 parameter arrays with the implementation under test.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from invfold.encoder import (
     global_context_bridge,
     symmetrize_edges,
 )
-from invfold.errors import IsolatedNode
+from invfold.errors import IsolatedNode, NumericError
 from invfold.geometry import FeatureConfig, build_knn_graph
 from invfold.nn import MlpBlock
 from invfold.rng import RandomStream
@@ -114,6 +115,20 @@ class TestAttentionOracle:
         params = AttentionParams(d, d_e, heads=1, stream=stream.child("attn4"))
         _, alpha = gau_attention(Tensor(h), Tensor(e_same), neighbors, params)
         assert np.allclose(alpha.data, 0.5, atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in a score
+    @pytest.mark.parametrize("taped", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["e", "h"])
+    def test_non_finite_input_raises(self, tiny_setup, where, bad, taped):
+        stream, neighbors, h, e, d, d_e = tiny_setup
+        params = AttentionParams(d, d_e, heads=2, stream=stream.child("attn6"))
+        inputs = {"h": h.copy(), "e": e.copy()}
+        inputs[where].flat[3] = bad
+        h_in, e_in = (Tensor(inputs[name], requires_grad=taped) for name in ("h", "e"))
+        with contextlib.nullcontext() if taped else ad.no_grad():
+            with pytest.raises(NumericError, match="not finite"):
+                gau_attention(h_in, e_in, neighbors, params)
 
     def test_isolated_node(self, tiny_setup):
         stream, _, h, e, d, d_e = tiny_setup

@@ -11,7 +11,7 @@ from invfold.errors import EmptyLoss, InvalidParameter, TrainingDiverged
 from invfold.recycling import ModelConfig, SequenceDistribution
 from invfold.rng import RandomStream
 from invfold.structure_io import AA_INDEX
-from invfold.synthetic import toy_corpus
+from invfold.synthetic import random_backbone, toy_corpus
 from invfold.training import (
     AdamW,
     Metrics,
@@ -24,7 +24,7 @@ from invfold.training import (
     staged_loss_tensor,
     train_toy,
 )
-from invfold.geometry import FeatureConfig
+from invfold.geometry import FeatureConfig, build_knn_graph
 
 
 def random_dist(n, seed, stage=1):
@@ -201,7 +201,7 @@ class TestAdamW:
 
 
 def test_training_tape_stays_small(small_graph, small_feature_config, small_providers):
-    """A T = 3 training forward at n = 12 holds 0.62 MB of tape. Nodes
+    """A T = 3 training forward at n = 12 holds 0.56 MB of tape. Nodes
     that kept their outputs, or gelu's temporaries, would put it near
     1.2 MB."""
     from invfold.recycling import InverseFoldModel
@@ -212,8 +212,24 @@ def test_training_tape_stays_small(small_graph, small_feature_config, small_prov
     probs, _, _ = model.run_stages(small_graph, *small_providers, 3, training=True,
                                    stream=RandomStream(0, "tape"))
     nodes, held = ad.tape_stats(staged_loss_tensor(probs, small_graph.labels))
-    assert nodes == 421
+    assert nodes == 283
     assert held < 700_000
+
+
+def test_training_tape_holds_no_gathered_senders():
+    """A T = 3 training forward at n = 60, k = 30, width 32 holds about
+    14.0 MB of tape. One gathered (60, 30, 32) copy of the senders kept per
+    layer and stage, as an unfused attention sum keeps them, adds 4.1 MB."""
+    from invfold.recycling import InverseFoldModel, StubSequenceProvider, StubStructureProvider
+    fc = FeatureConfig(k=30, rbf_count=8)
+    graph = build_knn_graph(random_backbone(7, 60), fc)
+    cfg = ModelConfig(node_dim=fc.node_dim, edge_dim=fc.edge_dim, hidden_dim=32, layers=3,
+                      heads=2, struct_dim=12, seq_dim=10, dropout=0.1)
+    providers = (StubStructureProvider(dim=12, seed=1), StubSequenceProvider(dim=10, seed=1))
+    probs, _, _ = InverseFoldModel(cfg, seed=3).run_stages(graph, *providers, 3, training=True,
+                                                           stream=RandomStream(0, "tape"))
+    _, held = ad.tape_stats(staged_loss_tensor(probs, graph.labels))
+    assert held < 16_000_000
 
 
 class TestTrainToy:
