@@ -28,10 +28,11 @@ restore the enclosing state on exit, also when the body raises. Values
 are the same with or without a tape.
 
 The two per-edge blocks of the encoder are one op each:
-- `edge_mlp`, the residual per-edge MLP, runs over blocks of receivers
-  so the hidden activations stay in cache between the two GEMMs; its
-  tape keeps the pre-activation and the dropout mask, not the hidden
-  activation.
+- `edge_mlp`, the residual per-edge MLP, runs over blocks of receivers,
+  in forward and again in backward, so the hidden activations stay in
+  cache between the GEMMs; its tape keeps the two (n, d_h) node terms
+  and the dropout mask, and backward recomputes each block's
+  pre-activation instead of keeping it.
 - `edge_attention`, edge-keyed attention, never forms a key or a value
   per edge: it pulls each query back through W_K and pools the inputs of
   the values with alpha before W_V. The gathered senders exist one
@@ -299,43 +300,47 @@ def edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep=None, scale: float = 1.0) -> 
 
     The wide concatenation never exists: the node segments of w1 run as
     (n, d) GEMMs whose rows are broadcast (receiver) or gathered (sender)
-    onto the edges. The forward runs over blocks of receivers, about
-    EDGE_ROWS edges each: the edge GEMM, the node terms and b1, GELU,
-    the dropout multiply, the second GEMM, b2 and the
+    onto the edges. Forward and backward run over the same blocks of
+    receivers, about EDGE_ROWS edges each, and every per-edge hidden
+    array is one block's buffer. The forward's edge GEMM, node terms
+    and b1, GELU, the dropout multiply, the second GEMM, b2 and the
     residual all touch a block while it is in cache, and only the output
-    is allocated per edge. On a tape the op also keeps the pre-activation
-    (one (n, k, d_h) array) and the mask; backward runs on whole arrays,
-    computes GELU's value and slope from the pre-activation
-    once, and sums the sender gradient with `scatter_rows`. Values and
-    gradients come from the same expressions as the separate ops (node
-    and edge GEMMs, adds, gelu, dropout, linear, residual add), so
-    their bits are the same.
+    is allocated per edge. On a tape the op keeps its inputs, the two
+    (n, d_h) node terms and the mask, no per-edge hidden array: backward
+    recomputes each block's pre-activation, GELU's value and slope, and
+    writes the block's edge gradient and its share of the weight
+    gradients; only the pre-activation gradient is one (n, k, d_h) array
+    while backward runs, for the sender sum with `scatter_rows`. Values
+    come from the same expressions as the separate ops (node and edge
+    GEMMs, adds, gelu, dropout, linear, residual add), so their bits are
+    the same; the weight gradients are sums over blocks.
     """
     h, e, w1, b1, w2, b2 = (as_tensor(t) for t in (h, e, w1, b1, w2, b2))
-    hd, ed, w1d, w2d = h.data, e.data, w1.data, w2.data
+    hd, ed, w1d, b1d, w2d = h.data, e.data, w1.data, b1.data, w2.data
     n, d = hd.shape
     _, k, d_e = ed.shape
     d_h = w1d.shape[1]
     w_self, w_nbr, w_edge = w1d[:d], w1d[d:2 * d], w1d[2 * d:]
     node_self, node_nbr = hd @ w_self, hd @ w_nbr
     inputs = (h, e, w1, b1, w2, b2)
-    taped = grad_enabled() and any(t.requires_grad for t in inputs)
-
     dtype = np.result_type(*(t.data for t in inputs))
     step = max(1, EDGE_ROWS // max(k, 1))
     block = min(step, n)
-    out = np.empty((n, k, d_e), dtype)
-    pre = np.empty((n if taped else block, k, d_h), dtype)
-    hidden, scratch = np.empty((2, block, k, d_h), dtype)
-    for r0 in range(0, n, step):
-        r1 = min(n, r0 + step)
-        z = pre[r0:r1] if taped else pre[:r1 - r0]
-        a = hidden[:r1 - r0]
+
+    def pre_activation(r0, r1, z):
         np.matmul(ed[r0:r1].reshape(-1, d_e), w_edge, out=z.reshape(-1, d_h))
         z += node_self[r0:r1, None, :]
         z += node_nbr[neighbors[r0:r1]]
-        z += b1.data
-        _gelu_into(z, a, scratch[:r1 - r0])
+        z += b1d
+        return z
+
+    out = np.empty((n, k, d_e), dtype)
+    pre = np.empty((block, k, d_h), dtype)
+    hidden, scratch = np.empty((2, block, k, d_h), dtype)
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        a = hidden[:r1 - r0]
+        _gelu_into(pre_activation(r0, r1, pre[:r1 - r0]), a, scratch[:r1 - r0])
         if keep is not None:
             a *= keep[r0:r1]
             a *= scale
@@ -343,47 +348,56 @@ def edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep=None, scale: float = 1.0) -> 
         np.matmul(a.reshape(-1, d_h), w2d, out=y.reshape(-1, d_e))
         y += b2.data
         y += ed[r0:r1]
-    if not taped:
+    if not (grad_enabled() and any(t.requires_grad for t in inputs)):
         return _make(out, [], "edge_mlp")
 
-    e_flat = ed.reshape(-1, d_e)
     memo = {}
 
-    def hidden_grads(g):
-        # the gradient at the pre-activation and the hidden value after
-        # dropout, computed once per backward and shared by the VJPs;
-        # the w2 VJP pops the value, which nothing else reads
-        if not memo:
-            value, slope = _gelu_value_slope(pre)
-            g_hid = (g.reshape(-1, d_e) @ w2d.T).reshape(n, k, d_h)
+    def grads(g):
+        # every input's gradient but b2's, computed once per backward in
+        # one pass over the blocks; each VJP pops its own
+        if memo:
+            return memo
+        gtype = np.result_type(dtype, g)
+        g_pre = np.empty((n, k, d_h), gtype)
+        g_e = np.empty((n, k, d_e), gtype)
+        g_self = np.empty((n, d_h), gtype)
+        g_w2 = np.zeros((d_h, d_e), gtype)
+        g_w_edge = np.zeros((d_e, d_h), gtype)
+        g_b1 = np.zeros(d_h, gtype)
+        bufs = np.empty((5, block, k, d_h), gtype)
+        for r0 in range(0, n, step):
+            r1 = min(n, r0 + step)
+            half_x, t, inner, value, g_hid = bufs[:, :r1 - r0]
+            _gelu_value_slope_into(pre_activation(r0, r1, half_x), value, t, inner, g_hid)
+            g_blk = g[r0:r1].reshape(-1, d_e)
+            np.matmul(g_blk, w2d.T, out=g_hid.reshape(-1, d_h))
             if keep is not None:
-                mask = keep * scale
-                g_hid, value = g_hid * mask, value * mask
-            g_pre = g_hid * slope
-            memo.update(value=value.reshape(-1, d_h), g_pre=g_pre,
-                        g_self=g_pre.sum(axis=1), g_nbr=scatter_rows(g_pre, neighbors, n))
+                for x in (value, g_hid):
+                    x *= keep[r0:r1]
+                    x *= scale
+            g_w2 += value.reshape(-1, d_h).T @ g_blk
+            gp = np.multiply(g_hid, t, out=g_pre[r0:r1]).reshape(-1, d_h)
+            np.matmul(gp, w_edge.T, out=g_e[r0:r1].reshape(-1, d_e))
+            g_e[r0:r1] += g[r0:r1]
+            g_w_edge += ed[r0:r1].reshape(-1, d_e).T @ gp
+            g_b1 += gp.sum(axis=0)
+            g_pre[r0:r1].sum(axis=1, out=g_self[r0:r1])
+        g_nbr = scatter_rows(g_pre, neighbors, n)
+        memo.update(
+            e=g_e, w2=g_w2, b1=g_b1,
+            w1=np.concatenate([hd.T @ g_self, hd.T @ g_nbr, g_w_edge]),
+            h=g_self @ w_self.T + g_nbr @ w_nbr.T,
+        )
         return memo
 
-    def vjp_w1(g):
-        m = hidden_grads(g)
-        gw = np.empty_like(w1d)
-        gw[:d] = hd.T @ m["g_self"]
-        gw[d:2 * d] = hd.T @ m["g_nbr"]
-        gw[2 * d:] = e_flat.T @ m["g_pre"].reshape(-1, d_h)
-        return gw
-
-    def vjp_h(g):
-        m = hidden_grads(g)
-        return m["g_self"] @ w_self.T + m["g_nbr"] @ w_nbr.T
-
     return _make(out, [
-        (e, lambda g: g),
-        (w2, lambda g: hidden_grads(g).pop("value").T @ g.reshape(-1, d_e)),
+        (e, lambda g: grads(g).pop("e")),
+        (w2, lambda g: grads(g).pop("w2")),
         (b2, lambda g: g.reshape(-1, d_e).sum(axis=0)),
-        (e, lambda g: (hidden_grads(g)["g_pre"].reshape(-1, d_h) @ w_edge.T).reshape(n, k, d_e)),
-        (w1, vjp_w1),
-        (b1, lambda g: hidden_grads(g)["g_pre"].reshape(-1, d_h).sum(axis=0)),
-        (h, vjp_h),
+        (w1, lambda g: grads(g).pop("w1")),
+        (b1, lambda g: grads(g).pop("b1")),
+        (h, lambda g: grads(g).pop("h")),
     ], "edge_mlp")
 
 
@@ -618,9 +632,27 @@ def _gelu_into(x, out, half_x):
     out += half_x
 
 
-def _gelu_value_slope(x):
-    parts = _gelu_parts(x)
-    return _gelu_value(parts), _gelu_slope(parts)
+def _gelu_value_slope_into(x, value, slope, inner, scratch):
+    """gelu(x) into value and its slope into slope, with inner and
+    scratch as scratch: `_gelu_parts`, `_gelu_value` and `_gelu_slope`
+    in place, so the same bits. x is left holding x / 2."""
+    np.multiply(x, x, out=inner)
+    np.multiply(inner, _GELU_C * 0.044715, out=slope)
+    slope += _GELU_C
+    slope *= x
+    np.tanh(slope, out=slope)
+    inner *= 3.0 * _GELU_C * 0.044715
+    inner += _GELU_C
+    x *= 0.5
+    np.multiply(x, slope, out=value)
+    value += x
+    np.multiply(slope, slope, out=scratch)
+    np.subtract(1.0, scratch, out=scratch)
+    scratch *= inner
+    scratch *= x
+    slope *= 0.5
+    slope += 0.5
+    slope += scratch
 
 
 def gelu(a) -> Tensor:

@@ -183,9 +183,13 @@ def _stage_count(cfg: RunConfig, seq_p, recycles=None) -> int:
 
 def _read_text(path) -> str:
     """A PDB, FASTA or --ss input as text: a missing file is a usage error,
-    a byte that is not UTF-8 a ParseError naming the file and the offset."""
-    if not Path(path).is_file():
+    a path that is not a regular file (a directory, say) an
+    InvalidParameter, which `eval` makes that entry's error row, and a
+    byte that is not UTF-8 a ParseError naming the file and the offset."""
+    if not Path(path).exists():
         raise _UsageError(f"no such file: {path}")
+    if not Path(path).is_file():
+        raise InvalidParameter(f"not a regular file: {path}")
     return read_text(path, ParseError)
 
 

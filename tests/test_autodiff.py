@@ -387,17 +387,43 @@ class TestEdgeMlp:
         assert np.array_equal(untaped.data, ref)
         assert np.array_equal(taped.data, ref)
 
-    def test_tape_keeps_pre_activation_and_mask(self):
-        n, k = 9, 4
-        data = self.inputs(n, k, d_h=12)
+    def test_tape_keeps_node_terms_and_mask(self):
+        n, k, d_h = 9, 4, 12
+        data = self.inputs(n, k, d_h=d_h)
         h, e, neighbors = Tensor(data[0], requires_grad=True), Tensor(data[1], requires_grad=True), data[2]
         w1, b1, w2, b2 = (Tensor(x, requires_grad=True) for x in data[3:])
-        keep = RandomStream(1, "mask").keep_mask((n, k, 12), 0.2)
+        keep = RandomStream(1, "mask").keep_mask((n, k, d_h), 0.2)
         out = ad.edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep, 1.0 / 0.8)
-        pre = n * k * 12 * 8
-        held = pre + keep.nbytes + sum(t.data.nbytes for t in (h, e, w1, w2)) + neighbors.nbytes
-        # the op, its six leaves and the sum: no hidden activation after the mask
+        node_terms = 2 * n * d_h * 8  # h w_self and h w_nbr
+        held = (keep.nbytes + node_terms + neighbors.nbytes
+                + sum(t.data.nbytes for t in (h, e, w1, b1, w2)))
+        # the op, its six leaves and the sum; no (n, k, d_h) float array
+        # (3456 B here): backward recomputes the pre-activation per block
         assert ad.tape_stats(ad.tsum(out)) == (8, held)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_backward_does_not_depend_on_block_size(self, monkeypatch, rate):
+        n, k = 7, 4
+        h, e, neighbors, *weights = self.inputs(n, k)
+        neighbors[0, 0] = neighbors[5, 1] = 3  # one sender, receivers in different blocks
+        keep = RandomStream(2, "mask").keep_mask((n, k, 16), rate) if rate else None
+        g = np.random.default_rng(1).standard_normal(e.shape)
+
+        def gradients(edge_rows):
+            monkeypatch.setattr(ad, "EDGE_ROWS", edge_rows)
+            leaves = [Tensor(x, requires_grad=True) for x in (h, e, *weights)]
+            x, y, w1, b1, w2, b2 = leaves
+            out = ad.edge_mlp(x, y, neighbors, w1, b1, w2, b2, keep, 1.0 / (1.0 - rate))
+            ad.backward(ad.tsum(ad.mul(out, g)))
+            return [t.grad for t in leaves]
+
+        # one receiver per block; blocks of two receivers with a short
+        # last block (receivers 0 and 5 apart); one block for all
+        one, two, whole = (gradients(rows) for rows in (k, 2 * k, n * k))
+        for other in (two, whole):
+            assert all(np.array_equal(a, b) for a, b in zip(one[:2], other[:2]))
+            for a, b in zip(one[2:], other[2:]):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 
 class TestDropout:

@@ -890,6 +890,42 @@ class TestMalformedInput:
         assert rows[3][0] == "AGGREGATE"
 
 
+    def test_directory_in_eval_is_that_entrys_error_row(self, tmp_path, tiny_config, capsys):
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        write_chain_pdb(dataset / "a.pdb", 16)
+        (dataset / "x.pdb").mkdir()
+        out = tmp_path / "m.csv"
+        assert main(["eval", "--dataset", str(dataset), "--config", tiny_config,
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        header, a, x, aggregate = csv.reader(out.open(newline=""))
+        assert header[0] == "protein" and a[0] == "a" and x == ["x", "", "", "", f"not a regular file: {dataset / 'x.pdb'}"]
+        assert aggregate == ["AGGREGATE"] + a[1:]
+
+    @pytest.mark.parametrize("entry", ["train-corpus", "featurize"])
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_path_that_is_not_a_file_is_one_line(self, tmp_path, tiny_config, capsys, entry,
+                                                 kind):
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        write_chain_pdb(dataset / "a.pdb", 16)
+        bad = dataset / "x.pdb"
+        if kind == "directory":
+            bad.mkdir()
+        else:  # a dangling link: the corpus glob lists it, the file is not there
+            bad.symlink_to(tmp_path / "gone.pdb")
+        argv = {
+            "train-corpus": ["train", "--corpus", str(dataset), "--out-dir", str(tmp_path / "r")],
+            "featurize": ["featurize", str(bad), "--chain", "A", "--out", str(tmp_path / "g.ifg")],
+        }[entry]
+        assert main(argv + ["--config", tiny_config]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        message = "not a regular file" if kind == "directory" else "no such file"
+        assert err.splitlines() == [f"error: {message}: {bad}"]
+
+
 class TestEvalCsv:
     """`eval` rows read back through csv.reader as five fields, whatever
     the file names and error messages hold."""

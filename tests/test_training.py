@@ -232,6 +232,23 @@ def test_training_tape_holds_no_gathered_senders():
     assert held < 16_000_000
 
 
+def test_training_tape_holds_no_edge_pre_activation():
+    """The training forward of the test above (T = 3, n = 60, k = 30,
+    width 32) holds about 11.4 MB of tape. An edge MLP whose tape kept its
+    pre-activation, one (60, 30, 32) float64 array per edge update and
+    stage (six here), would put it near 14.0 MB."""
+    from invfold.recycling import InverseFoldModel, StubSequenceProvider, StubStructureProvider
+    fc = FeatureConfig(k=30, rbf_count=8)
+    graph = build_knn_graph(random_backbone(7, 60), fc)
+    cfg = ModelConfig(node_dim=fc.node_dim, edge_dim=fc.edge_dim, hidden_dim=32, layers=3,
+                      heads=2, struct_dim=12, seq_dim=10, dropout=0.1)
+    providers = (StubStructureProvider(dim=12, seed=1), StubSequenceProvider(dim=10, seed=1))
+    probs, _, _ = InverseFoldModel(cfg, seed=3).run_stages(graph, *providers, 3, training=True,
+                                                           stream=RandomStream(0, "tape"))
+    _, held = ad.tape_stats(staged_loss_tensor(probs, graph.labels))
+    assert held < 12_500_000
+
+
 class TestTrainToy:
     @pytest.fixture
     def tiny_cfg(self):
