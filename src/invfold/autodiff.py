@@ -284,9 +284,18 @@ def linear(x, w, b=None) -> Tensor:
     return _make(out.reshape(*shape[:-1], d_out), parents, "linear")
 
 
-# edge rows per receiver block of `edge_mlp` and `edge_attention`: a
-# block's hidden buffers, or its gathered senders, stay in cache
+# edge rows per receiver block of `edge_mlp`, `edge_attention` and the
+# featurizer: a block's hidden buffers, gathered senders or features
+# stay in cache
 EDGE_ROWS = 512
+
+
+def receiver_blocks(n: int, k: int) -> list:
+    """[(r0, r1)] runs of consecutive receivers that cover range(n), each
+    of about EDGE_ROWS edges at k edges per receiver (at least one
+    receiver); every run but the last has the same length."""
+    step = max(1, EDGE_ROWS // max(k, 1))
+    return [(r0, min(n, r0 + step)) for r0 in range(0, n, step)]
 
 
 def edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep=None, scale: float = 1.0) -> Tensor:
@@ -324,8 +333,8 @@ def edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep=None, scale: float = 1.0) -> 
     node_self, node_nbr = hd @ w_self, hd @ w_nbr
     inputs = (h, e, w1, b1, w2, b2)
     dtype = np.result_type(*(t.data for t in inputs))
-    step = max(1, EDGE_ROWS // max(k, 1))
-    block = min(step, n)
+    blocks = receiver_blocks(n, k)
+    block = max((r1 - r0 for r0, r1 in blocks), default=0)
 
     def pre_activation(r0, r1, z):
         np.matmul(ed[r0:r1].reshape(-1, d_e), w_edge, out=z.reshape(-1, d_h))
@@ -337,8 +346,7 @@ def edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep=None, scale: float = 1.0) -> 
     out = np.empty((n, k, d_e), dtype)
     pre = np.empty((block, k, d_h), dtype)
     hidden, scratch = np.empty((2, block, k, d_h), dtype)
-    for r0 in range(0, n, step):
-        r1 = min(n, r0 + step)
+    for r0, r1 in blocks:
         a = hidden[:r1 - r0]
         _gelu_into(pre_activation(r0, r1, pre[:r1 - r0]), a, scratch[:r1 - r0])
         if keep is not None:
@@ -366,8 +374,7 @@ def edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep=None, scale: float = 1.0) -> 
         g_w_edge = np.zeros((d_e, d_h), gtype)
         g_b1 = np.zeros(d_h, gtype)
         bufs = np.empty((5, block, k, d_h), gtype)
-        for r0 in range(0, n, step):
-            r1 = min(n, r0 + step)
+        for r0, r1 in blocks:
             half_x, t, inner, value, g_hid = bufs[:, :r1 - r0]
             _gelu_value_slope_into(pre_activation(r0, r1, half_x), value, t, inner, g_hid)
             g_blk = g[r0:r1].reshape(-1, d_e)
@@ -425,7 +432,7 @@ def edge_attention(q, h, e, neighbors, w_k, w_v, heads: int):
     k, d_e = ed.shape[1:]
     d_k, d_in = d // heads, wvd.shape[0]
     scale = 1.0 / math.sqrt(d_k)
-    step = max(1, EDGE_ROWS // max(k, 1))
+    blocks = receiver_blocks(n, k)
 
     wk_heads = wkd.reshape(d_e, heads, d_k)                    # (d_e, heads, d_k)
     q_heads = qd.reshape(n, heads, d_k).transpose(1, 0, 2)     # (heads, n, d_k)
@@ -435,8 +442,7 @@ def edge_attention(q, h, e, neighbors, w_k, w_v, heads: int):
     alpha_t = alpha.transpose(0, 2, 1)                         # (n, heads, k)
 
     pool_j = np.empty((n, heads, d), np.result_type(alpha, hd))
-    for r0 in range(0, n, step):
-        r1 = min(n, r0 + step)
+    for r0, r1 in blocks:
         np.matmul(alpha_t[r0:r1], hd[neighbors[r0:r1]], out=pool_j[r0:r1])
     pooled = np.concatenate([alpha.sum(axis=1).reshape(n, heads, 1) * hd.reshape(n, 1, d),
                              alpha_t @ ed, pool_j], axis=2)    # (n, heads, d_in)
@@ -463,8 +469,7 @@ def edge_attention(q, h, e, neighbors, w_k, w_v, heads: int):
         g_alpha = ed @ g_e.transpose(0, 2, 1)                  # (n, k, heads)
         g_alpha += (g_self @ hd[:, :, None]).transpose(0, 2, 1)
         g_edge_j = alpha @ g_j                                 # (n, k, d)
-        for r0 in range(0, n, step):
-            r1 = min(n, r0 + step)
+        for r0, r1 in blocks:
             g_alpha[r0:r1] += hd[neighbors[r0:r1]] @ g_j[r0:r1].transpose(0, 2, 1)
         g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(axis=1, keepdims=True))
         g_scores *= scale

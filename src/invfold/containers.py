@@ -23,11 +23,19 @@ DTYPES = {b"IFB1": ("<u8", "<f4"), b"IFG1": ("<i4", "<f4"), b"IFE1": ("<f4",),
           b"IFC1": ("<f8",), b"IFA1": ("<i4", "<f4")}
 
 
-def pack(magic: bytes, header: dict, blocks) -> bytes:
-    """Container bytes; `blocks` holds (dtype, array) pairs, cast and written in C order."""
+def pack(magic: bytes, header: dict, blocks) -> bytearray:
+    """Container bytes; `blocks` holds (dtype, array) pairs, each cast and
+    written in C order straight into its slot of the one buffer."""
     head = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return b"".join([magic, struct.pack("<I", len(head)), head,
-                     *(np.asarray(a, dtype=dtype).tobytes() for dtype, a in blocks)])
+    specs = [(np.dtype(dtype), np.shape(a), a) for dtype, a in blocks]
+    sizes = [math.prod(shape) * dtype.itemsize for dtype, shape, _ in specs]
+    starts = list(itertools.accumulate(sizes, initial=8 + len(head)))
+    out = bytearray(starts[-1])
+    out[:8 + len(head)] = magic + struct.pack("<I", len(head)) + head
+    for (dtype, shape, a), start in zip(specs, starts):
+        slot = np.frombuffer(out, dtype, math.prod(shape), start).reshape(shape)
+        np.copyto(slot, a, casting="unsafe")
+    return out
 
 
 @contextlib.contextmanager
@@ -40,11 +48,13 @@ def checked(error, what: str):
         raise error(f"{what}: malformed ({type(exc).__name__}: {exc})") from exc
 
 
-def unpack(data: bytes, magic: bytes, layout, error, what: str):
+def unpack(data, magic: bytes, layout, error, what: str):
     """Returns (header, read-only block views into `data`, shaped as
-    `layout(header)` says). Raises `error` on a wrong magic, a cut or
-    non-object header, a dtype the format does not define, a dimension
-    that is not a non-negative int, or a byte length that is not exact."""
+    `layout(header)` says); `data` is any bytes-like object. Raises
+    `error` on a wrong magic, a cut or non-object header, a dtype the
+    format does not define, a dimension that is not a non-negative int,
+    or a byte length that is not exact."""
+    data = memoryview(data).toreadonly()
     if data[:4] != magic:
         raise error(f"{what}: bad magic")
     if len(data) < 8:
@@ -53,7 +63,7 @@ def unpack(data: bytes, magic: bytes, layout, error, what: str):
     if 8 + hlen > len(data):
         raise error(f"{what}: truncated header ({hlen} bytes, {len(data) - 8} follow)")
     with checked(error, f"{what} header"):
-        header = json.loads(data[8:8 + hlen].decode("utf-8"))
+        header = json.loads(str(data[8:8 + hlen], "utf-8"))
         if not isinstance(header, dict):
             raise TypeError("not a JSON object")
         specs = [(dtype, tuple(shape)) for dtype, shape in layout(header)]

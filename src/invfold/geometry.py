@@ -16,6 +16,9 @@ translation of the input coordinates:
 
 Edge features are stored independently per orientation: the entry for
 j->i lives in receiver i's slot for neighbor j and never aliases i->j.
+They are computed over blocks of receivers (`autodiff.receiver_blocks`)
+and written into the one edge array, so no other array grows with the
+edge count.
 
 Anything derived from an atom that the backbone's `present` mask marks
 imputed is zeroed.
@@ -28,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import receiver_blocks
 from .containers import checked, pack, unpack
 from .errors import (DegenerateFrame, GraphTooSmall, InvalidParameter, ParseError, check_count,
                      check_number)
@@ -63,9 +67,15 @@ class FeatureConfig:
         return 6 * self.rbf_count + 9 + self.ss_classes + 1
 
     @property
+    def edge_widths(self) -> dict:
+        """The edge feature families in layout order, with their widths."""
+        return {"inter_rbf": 16 * self.rbf_count, "orientation": 4,
+                "relative_position": 2 * self.relative_position_clamp + 1}
+
+    @property
     def edge_dim(self) -> int:
         """Inter-residue RBFs, orientation quaternion, relative position."""
-        return 16 * self.rbf_count + 4 + 2 * self.relative_position_clamp + 1
+        return sum(self.edge_widths.values())
 
 
 @dataclass
@@ -250,15 +260,29 @@ def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
     return q.reshape(*shape, 4)
 
 
+def _layout(widths: dict) -> list:
+    """One (family, offset, width) entry per feature family, in order."""
+    offsets = itertools.accumulate(widths.values(), initial=0)
+    return [{"family": family, "offset": offset, "width": width}
+            for (family, width), offset in zip(widths.items(), offsets)]
+
+
 def _assemble(blocks: dict):
     """Concatenate named feature blocks along the last axis; returns the
-    features and their layout, one (family, offset, width) entry per
-    block in order."""
-    widths = [block.shape[-1] for block in blocks.values()]
-    offsets = itertools.accumulate(widths, initial=0)
-    layout = [{"family": family, "offset": offset, "width": width}
-              for family, offset, width in zip(blocks, offsets, widths)]
-    return np.concatenate(list(blocks.values()), axis=-1), layout
+    features and their layout."""
+    return (np.concatenate(list(blocks.values()), axis=-1),
+            _layout({family: block.shape[-1] for family, block in blocks.items()}))
+
+
+def _nearest(ca: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) int32: each residue's k nearest other residues by CA distance,
+    nearest first. The (n, n) temporaries die on return."""
+    sq = ca[:, None, :] - ca[None, :, :]
+    sq *= sq
+    dist = np.sqrt(np.sum(sq, axis=-1))
+    np.fill_diagonal(dist, np.inf)
+    # Stable argsort: equidistant candidates resolve to the lower index.
+    return np.argsort(dist, axis=1, kind="stable")[:, :k].astype(np.int32)
 
 
 def build_knn_graph(backbone: ProteinBackbone, cfg: FeatureConfig, ss=None) -> ResidueGraph:
@@ -274,12 +298,7 @@ def build_knn_graph(backbone: ProteinBackbone, cfg: FeatureConfig, ss=None) -> R
     k_eff = min(cfg.k, n - 1)
 
     coords = backbone.coords()  # (n, 4, 3)
-    ca = coords[:, 1]
-    diff = ca[:, None, :] - ca[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    np.fill_diagonal(dist, np.inf)
-    # Stable argsort: equidistant candidates resolve to the lower index.
-    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k_eff].astype(np.int32)
+    neighbors = _nearest(coords[:, 1], k_eff)
 
     atom_valid = backbone.present
 
@@ -309,28 +328,31 @@ def build_knn_graph(backbone: ProteinBackbone, cfg: FeatureConfig, ss=None) -> R
         "secondary_structure": ss_onehot,
     })
 
-    # 4x4 heavy-atom distances, receiver atom first.
-    recv = coords[:, None, :, None, :]                # (n, 1, 4, 1, 3)
-    send = coords[neighbors][:, :, None, :, :]        # (n, k', 1, 4, 3)
-    d = np.linalg.norm(recv - send, axis=-1)          # (n, k', 4, 4)
-    inter = rbf_encode(d, cfg)                        # (n, k', 4, 4, rbf)
-    pair_valid = atom_valid[:, None, :, None] & atom_valid[neighbors][:, :, None, :]
-    inter *= pair_valid[..., None]
-
+    # The edge array is the only per-edge allocation: each block of
+    # receivers computes its features and writes them into its rows. It
+    # starts zeroed, so the relative-position one-hot only sets its ones.
     basis, valid = local_frames(backbone)
-    quat = rotation_to_quaternion(                    # (n, k', 4)
-        np.einsum("nab,nmcb->nmac", basis, basis[neighbors]))
-    quat *= (valid[:, None] & valid[neighbors])[..., None]
-
+    edge_layout = _layout(cfg.edge_widths)
+    inter_cols, quat_cols, relpos_cols = (slice(b["offset"], b["offset"] + b["width"])
+                                          for b in edge_layout)
     clamp = cfg.relative_position_clamp
-    sep = np.clip(neighbors - np.arange(n)[:, None], -clamp, clamp) + clamp
-    relpos = np.eye(2 * clamp + 1)[sep]
+    edge_feats = np.zeros((n, k_eff, cfg.edge_dim))
+    for r0, r1 in receiver_blocks(n, k_eff):
+        nbr, out = neighbors[r0:r1], edge_feats[r0:r1]
+        # 4x4 heavy-atom distances, receiver atom first.
+        recv = coords[r0:r1, None, :, None, :]        # (b, 1, 4, 1, 3)
+        send = coords[nbr][:, :, None, :, :]          # (b, k', 1, 4, 3)
+        inter = rbf_encode(np.linalg.norm(recv - send, axis=-1), cfg)  # (b, k', 4, 4, rbf)
+        inter *= (atom_valid[r0:r1, None, :, None] & atom_valid[nbr][:, :, None, :])[..., None]
+        out[:, :, inter_cols] = inter.reshape(r1 - r0, k_eff, -1)
 
-    edge_feats, edge_layout = _assemble({
-        "inter_rbf": inter.reshape(n, k_eff, -1),
-        "orientation": quat,
-        "relative_position": relpos,
-    })
+        quat = rotation_to_quaternion(                # (b, k', 4)
+            np.einsum("nab,nmcb->nmac", basis[r0:r1], basis[nbr]))
+        quat *= (valid[r0:r1, None] & valid[nbr])[..., None]
+        out[:, :, quat_cols] = quat
+
+        sep = np.clip(nbr - np.arange(r0, r1)[:, None], -clamp, clamp) + clamp
+        np.put_along_axis(out[:, :, relpos_cols], sep[..., None], 1.0, axis=-1)
 
     return ResidueGraph(
         n=n,
@@ -347,8 +369,9 @@ def build_knn_graph(backbone: ProteinBackbone, cfg: FeatureConfig, ss=None) -> R
     )
 
 
-def serialize_graph(graph: ResidueGraph) -> bytes:
-    """Featurized-graph container: JSON header + int32/float32 blocks."""
+def serialize_graph(graph: ResidueGraph) -> bytearray:
+    """Featurized-graph container: JSON header + int32/float32 blocks,
+    each cast straight into the one buffer `pack` returns."""
     header = {
         "format": "graph/1",
         "n": graph.n,

@@ -61,7 +61,8 @@ class ProteinBackbone:
     """One chain's backbone as arrays.
 
     `atoms` is (n, 4, 3) float64 in N, CA, C, O order and `present` is
-    (n, 4) bool, False where an atom was imputed from CA. `seq_index`
+    (n, 4) bool, False where an atom was imputed from CA; every
+    coordinate must be finite (InvalidParameter). `seq_index`
     holds the (n,) residue numbers of the source file. The arrays are
     stored read-only: a transform returns a new backbone.
     """
@@ -77,6 +78,8 @@ class ProteinBackbone:
         n = atoms.shape[0] if atoms.ndim else -1
         if atoms.shape != (n, 4, 3) or atoms.dtype != np.float64:
             raise InvalidParameter(f"atoms must be (n, 4, 3) float64, got {atoms.shape} {atoms.dtype}")
+        if not np.isfinite(atoms).all():
+            raise InvalidParameter("atoms must be finite")
         if present.shape != (n, 4) or present.dtype != np.bool_:
             raise InvalidParameter(f"present must be ({n}, 4) bool, got {present.shape} {present.dtype}")
         if not present[:, 1].all():
@@ -203,8 +206,8 @@ def inject_backbone_noise(backbone: ProteinBackbone, sigma: float, seed: int) ->
     Deterministic for a given (backbone length, sigma, seed); draws are
     consumed in residue order from a dedicated stream.
     """
-    if sigma < 0:
-        raise InvalidParameter(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < np.inf:
+        raise InvalidParameter(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0:
         return backbone.with_coords(backbone.coords())
     stream = RandomStream(seed, "backbone-noise")
@@ -212,8 +215,9 @@ def inject_backbone_noise(backbone: ProteinBackbone, sigma: float, seed: int) ->
     return backbone.with_coords(backbone.coords() + sigma * noise)
 
 
-def serialize_backbone(backbone: ProteinBackbone) -> bytes:
-    """Pack a backbone into the binary container (see docs/formats.md).
+def serialize_backbone(backbone: ProteinBackbone) -> bytearray:
+    """Pack a backbone into the binary container (see docs/formats.md), a
+    bytearray.
 
     Coordinates are stored as little-endian float32; backbones produced
     by parse_pdb round-trip exactly because the parser quantizes to

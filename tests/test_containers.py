@@ -280,6 +280,42 @@ def test_pack_unpack_scalar_and_empty_blocks():
     assert not scalar.flags.writeable  # a view into the bytes, not a copy
 
 
+def _joined_pack(magic, header, blocks):
+    """The earlier codec: one `tobytes()` copy per block, then a join."""
+    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return b"".join([magic, struct.pack("<I", len(head)), head,
+                     *(np.asarray(a, dtype=dtype).tobytes() for dtype, a in blocks)])
+
+
+@pytest.mark.parametrize("magic", MAGICS)
+def test_pack_matches_joined_blocks(magic):
+    rng = np.random.default_rng(list(magic.encode()))
+    blocks = []
+    for dtype in containers.DTYPES[magic.encode()]:
+        if dtype[1] == "f":  # float64 sources, cast on write, some past float32's precision
+            source = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-40, 30, (7, 5))
+        else:
+            source = rng.integers(0, 2**31 - 1, (7, 5))
+        blocks += [(dtype, source), (dtype, source.T), (dtype, source[0, 0]),
+                   (dtype, source[:2].tolist()), (dtype, source[:0])]
+    header = _split(GOLDEN[magic])[0]
+    packed = containers.pack(magic.encode(), header, blocks)
+    assert packed == _joined_pack(magic.encode(), header, blocks)
+    assert containers.pack(magic.encode(), header, []) == _joined_pack(magic.encode(), header, [])
+
+
+@pytest.mark.parametrize("wrap", [bytes, bytearray, lambda b: memoryview(bytearray(b))],
+                         ids=["bytes", "bytearray", "memoryview"])
+def test_unpack_views_are_read_only_for_any_buffer(wrap):
+    values = np.arange(6.0).reshape(2, 3)
+    blob = wrap(containers.pack(b"IFC1", {}, [("<f8", values)]))
+    _, (view,) = containers.unpack(blob, b"IFC1", lambda h: [("<f8", (2, 3))],
+                                   CheckpointMismatch, "test")
+    assert np.array_equal(view, values) and not view.flags.writeable
+    with pytest.raises(ValueError):
+        view[0, 0] = 1.0
+
+
 def test_errors_are_invfold_errors():
     for error, _ in READERS.values():
         assert issubclass(error, InvfoldError)

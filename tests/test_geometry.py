@@ -5,7 +5,9 @@ projection-based torsion formula, scipy's rotation-matrix-to-quaternion
 conversion, and a brute-force neighbor sort.
 """
 
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from invfold import autodiff as ad
 from invfold.errors import DegenerateFrame, GraphTooSmall, InvalidParameter
 from invfold.geometry import (
     FeatureConfig,
@@ -341,6 +344,115 @@ class TestKnnGraph:
         with pytest.raises(InvalidParameter):
             build_knn_graph(small_backbone, FeatureConfig(k=3, rbf_count=4),
                             ss=[99] * len(small_backbone))
+
+
+def whole_array_graph(backbone, cfg, ss=None):
+    """The featurizer before it ran over receiver blocks: each feature
+    family built as one array over all n residues (all n k' edges), then
+    concatenated. Returns (neighbors, node features, edge features)."""
+    n = len(backbone)
+    k = min(cfg.k, n - 1)
+    coords, atom_valid = backbone.coords(), backbone.present
+    ca = coords[:, 1]
+    diff = ca[:, None, :] - ca[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    np.fill_diagonal(dist, np.inf)
+    nbr = np.argsort(dist, axis=1, kind="stable")[:, :k].astype(np.int32)
+
+    a_idx, b_idx = np.triu_indices(4, 1)
+    intra = rbf_encode(np.linalg.norm(coords[:, a_idx] - coords[:, b_idx], axis=-1), cfg)
+    intra *= (atom_valid[:, a_idx] & atom_valid[:, b_idx])[..., None]
+    angles, mask = dihedral_angles(backbone)
+    trig = np.zeros((n, 6))
+    trig[:, 0::2] = np.sin(angles) * mask
+    trig[:, 1::2] = np.cos(angles) * mask
+    ss = np.full(n, cfg.ss_classes) if ss is None else np.asarray(ss, dtype=np.int64)
+    node = np.concatenate([intra.reshape(n, -1), trig, mask.astype(np.float64),
+                           np.eye(cfg.ss_classes + 1)[ss]], axis=1)
+
+    d = np.linalg.norm(coords[:, None, :, None, :] - coords[nbr][:, :, None, :, :], axis=-1)
+    inter = rbf_encode(d, cfg)
+    inter *= (atom_valid[:, None, :, None] & atom_valid[nbr][:, :, None, :])[..., None]
+    basis, valid = local_frames(backbone)
+    quat = rotation_to_quaternion(np.einsum("nab,nmcb->nmac", basis, basis[nbr]))
+    quat *= (valid[:, None] & valid[nbr])[..., None]
+    clamp = cfg.relative_position_clamp
+    sep = np.clip(nbr - np.arange(n)[:, None], -clamp, clamp) + clamp
+    edge = np.concatenate([inter.reshape(n, k, -1), quat, np.eye(2 * clamp + 1)[sep]], axis=-1)
+    return nbr, node, edge
+
+
+def with_imputed_atoms(backbone, cells):
+    """The backbone with the (residue, atom) cells marked imputed and moved onto CA."""
+    present = backbone.present.copy()
+    present[tuple(np.transpose(cells))] = False
+    atoms = np.where(present[..., None], backbone.atoms, backbone.atoms[:, 1:2])
+    return dataclasses.replace(backbone, atoms=atoms, present=present)
+
+
+class TestBlockedFeaturizer:
+    # (n, FeatureConfig overrides, EDGE_ROWS, imputed atoms, ss given)
+    CASES = {
+        # 45 receivers in blocks of EDGE_ROWS // 44 = 11 leave one of 1
+        "short-last-block": (45, {}, ad.EDGE_ROWS, False, False),
+        "complete-graph": (6, {}, ad.EDGE_ROWS, False, False),
+        # k' = 12 >= EDGE_ROWS: one receiver per block
+        "one-receiver-per-block": (30, {"k": 12}, 8, False, False),
+        # invalid frames and masked atom pairs, in more than one block
+        "imputed-n-c-o": (50, {}, ad.EDGE_ROWS, True, False),
+        "narrow-config": (25, {"k": 7, "rbf_count": 2, "relative_position_clamp": 0},
+                          ad.EDGE_ROWS, False, False),
+        "ss-given": (35, {}, ad.EDGE_ROWS, False, True),
+        "everything-in-blocks-of-2": (60, {"k": 9, "rbf_count": 3}, 20, True, True),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_whole_array_featurizer_bitwise(self, monkeypatch, case):
+        n, overrides, edge_rows, imputed, with_ss = self.CASES[case]
+        monkeypatch.setattr(ad, "EDGE_ROWS", edge_rows)
+        cfg = FeatureConfig(**overrides)
+        backbone = random_backbone(n, n)
+        if imputed:
+            backbone = with_imputed_atoms(backbone, [(3, 0), (10, 2), (20, 0), (20, 2), (25, 3)])
+        ss = np.arange(n) * 7 % cfg.ss_classes if with_ss else None
+        g = build_knn_graph(backbone, cfg, ss)
+        neighbors, node, edge = whole_array_graph(backbone, cfg, ss)
+        assert np.array_equal(g.neighbors, neighbors)
+        assert np.array_equal(g.node_feats, node)
+        assert g.edge_feats.shape == edge.shape == (n, g.k, cfg.edge_dim)
+        assert np.array_equal(g.edge_feats, edge)
+        assert [(b["family"], b["width"]) for b in g.edge_layout] == list(cfg.edge_widths.items())
+        if imputed:
+            assert not local_frames(backbone)[1].all()
+
+
+class TestFeaturizerMemory:
+    """At n = 1000 the edge array is the featurizer's one per-edge
+    allocation, and serializing writes the container once."""
+
+    @staticmethod
+    def traced_peak(fn):
+        """fn()'s result and its tracemalloc peak above what was live before."""
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+
+    def test_featurizer_peak_is_its_output(self):
+        backbone = random_backbone(0, 1000)
+        g, peak = self.traced_peak(lambda: build_knn_graph(backbone, FeatureConfig()))
+        out = g.neighbors.nbytes + g.node_feats.nbytes + g.edge_feats.nbytes
+        # 1.03 here; 2.35 when each feature family was a whole array
+        assert peak <= 1.1 * out
+
+    def test_serializer_peak_is_its_container(self):
+        g = build_knn_graph(random_backbone(0, 1000), FeatureConfig())
+        data, peak = self.traced_peak(lambda: serialize_graph(g))
+        # 1.0 here; 2.0 when each block was copied and then joined
+        assert peak <= 1.05 * len(data)
 
 
 class TestInvariance:

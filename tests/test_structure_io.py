@@ -146,6 +146,22 @@ class TestBackboneArrays:
         with pytest.raises(InvalidParameter):
             small_backbone.with_coords(np.zeros((3, 4, 3)))
 
+    # a non-finite atom would featurize into NaN node and edge features
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("atom", [1, 3])
+    def test_non_finite_atom_raises(self, value, atom):
+        backbone = random_backbone(0, 30)
+        coords = backbone.coords().copy()
+        coords[12, atom, 1] = value
+        with pytest.raises(InvalidParameter):
+            backbone.with_coords(coords)
+
+    def test_non_finite_container_coordinate_raises_parse_error(self):
+        data = bytearray(serialize_backbone(random_backbone(0, 5)))
+        data[-4:] = np.float32(np.nan).tobytes()
+        with pytest.raises(ParseError):
+            deserialize_backbone(data)
+
 
 class TestRigidTransform:
     def test_identity(self, small_backbone):
@@ -187,6 +203,12 @@ class TestNoise:
     def test_negative_sigma(self, small_backbone):
         with pytest.raises(InvalidParameter):
             inject_backbone_noise(small_backbone, -0.1, seed=1)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, 1e308])
+    def test_non_finite_sigma_or_coordinates_raise(self, small_backbone, sigma):
+        # 1e308 is finite, but the noisy coordinates it makes are not
+        with np.errstate(over="ignore"), pytest.raises(InvalidParameter):
+            inject_backbone_noise(small_backbone, sigma, seed=0)
 
     def test_determinism(self, small_backbone):
         a = inject_backbone_noise(small_backbone, 0.02, seed=9)
