@@ -35,9 +35,20 @@ The two per-edge blocks of the encoder are one op each:
   pre-activation instead of keeping it.
 - `edge_attention`, edge-keyed attention, never forms a key or a value
   per edge: it pulls each query back through W_K and pools the inputs of
-  the values with alpha before W_V. The gathered senders exist one
-  receiver block at a time, in forward and again in backward; its tape
-  keeps alpha, the pulled-back queries and the pooled rows.
+  the values with alpha before W_V. The scores, the softmax, the pooled
+  terms and the gathered senders exist one receiver block at a time, in
+  forward and again in backward; its tape keeps alpha, the pulled-back
+  queries and the pooled rows.
+
+Both ops hand their receiver blocks to `run_blocks`, which runs them on
+`block_workers()` threads: the number of usable CPUs when BLAS is pinned
+to one thread (`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` or
+`MKL_NUM_THREADS` set to 1), else 1, and always 1 in a thread other than
+the main thread. Setting `OPENBLAS_NUM_THREADS=1` therefore lets
+inference and training use every core; left unset, a threaded BLAS
+spreads each GEMM instead. Values do not depend on the worker count:
+every block writes only its own rows, and sums over blocks are added in
+block order.
 
 Gradients of row gathers (`take_rows`, the sender terms of `edge_mlp`
 and `edge_attention`) are sorted-segment sums (`scatter_rows`): the
@@ -53,7 +64,9 @@ re-evaluating the user's closure, never touching the tape internals.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import os
 import threading
 from contextlib import contextmanager
 
@@ -274,7 +287,11 @@ def linear(x, w, b=None) -> Tensor:
     out = x2 @ wd
     if b is not None:
         b = as_tensor(b)
-        out = out + b.data
+        # in place unless the bias widens the GEMM's dtype
+        if out.dtype == np.result_type(out, b.data):
+            out += b.data
+        else:
+            out = out + b.data
     parents = [
         (x, lambda g: (g.reshape(-1, d_out) @ wd.T).reshape(shape)),
         (w, lambda g: x2.T @ g.reshape(-1, d_out)),
@@ -298,6 +315,90 @@ def receiver_blocks(n: int, k: int) -> list:
     return [(r0, min(n, r0 + step)) for r0 in range(0, n, step)]
 
 
+# setting any one of these to 1 pins BLAS to one thread per call
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def block_workers() -> int:
+    """Threads that `run_blocks` uses: the usable CPUs when BLAS is pinned
+    to one thread, else 1 (a BLAS that threads each GEMM already uses the
+    cores). A call from any thread but the main thread gets 1, so callers
+    that run their own threads do not fan out again inside each."""
+    if threading.current_thread() is not threading.main_thread():
+        return 1
+    if not any(os.environ.get(var, "").strip() == "1" for var in _BLAS_THREAD_VARS):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_POOL = [0, None]  # (threads, executor), created on first parallel call
+
+
+def _pool(threads: int):
+    if _POOL[0] < threads:
+        from concurrent.futures import ThreadPoolExecutor
+        if _POOL[1] is not None:
+            _POOL[1].shutdown(wait=False)
+        _POOL[:] = threads, ThreadPoolExecutor(threads, thread_name_prefix="invfold-blocks")
+    return _POOL[1]
+
+
+def run_blocks(fn, blocks, buffers=None, fold=None) -> None:
+    """fn(r0, r1, bufs) for every (r0, r1) in blocks, on `block_workers()`
+    threads: the caller and workers from a pool each claim the next
+    unclaimed block until none is left. Each thread that claims a block
+    calls `buffers()` once for its bufs (None without it). fn must write
+    only its own block's rows of any shared output. `fold(result)` takes
+    fn's results one at a time in block order, as soon as every earlier
+    block's has been taken, so sums over blocks have the sequential
+    loop's bits for any thread count and schedule. Every block task has
+    ended when this returns; if blocks raised, the lowest-numbered
+    block's exception is raised, the one the sequential loop would meet
+    first (blocks claimed after a failure do not start)."""
+    workers = min(block_workers(), len(blocks))
+    if workers <= 1:
+        bufs = buffers() if buffers is not None and blocks else None
+        for r0, r1 in blocks:
+            result = fn(r0, r1, bufs)
+            if fold is not None:
+                fold(result)
+        return
+    claims = itertools.count()  # next() on it is atomic under the GIL
+    lock = threading.Lock()
+    done, errors = {}, []
+    next_fold = 0  # the block whose result fold takes next
+
+    def drain():
+        nonlocal next_fold
+        bufs = None
+        while not errors:
+            i = next(claims)
+            if i >= len(blocks):
+                return
+            try:
+                if bufs is None and buffers is not None:
+                    bufs = buffers()
+                result = fn(*blocks[i], bufs)
+                if fold is not None:
+                    with lock:
+                        done[i] = result
+                        while next_fold in done:
+                            fold(done.pop(next_fold))
+                            next_fold += 1
+            except BaseException as exc:
+                errors.append((i, exc))
+                return
+
+    tasks = [_pool(workers - 1).submit(drain) for _ in range(workers - 1)]
+    drain()
+    for task in tasks:
+        task.result()
+    if errors:
+        raise min(errors, key=lambda item: item[0])[1]
+
+
 def edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep=None, scale: float = 1.0) -> Tensor:
     """Residual per-edge MLP: e_ji + gelu([h_i || h_j || e_ji] w1 + b1) w2 + b2.
 
@@ -310,9 +411,9 @@ def edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep=None, scale: float = 1.0) -> 
     The wide concatenation never exists: the node segments of w1 run as
     (n, d) GEMMs whose rows are broadcast (receiver) or gathered (sender)
     onto the edges. Forward and backward run over the same blocks of
-    receivers, about EDGE_ROWS edges each, and every per-edge hidden
-    array is one block's buffer. The forward's edge GEMM, node terms
-    and b1, GELU, the dropout multiply, the second GEMM, b2 and the
+    receivers, about EDGE_ROWS edges each (`run_blocks`), and every
+    per-edge hidden array is one block's buffer, one set per thread. The
+    forward's edge GEMM, node terms and b1, GELU, the dropout multiply, the second GEMM, b2 and the
     residual all touch a block while it is in cache, and only the output
     is allocated per edge. On a tape the op keeps its inputs, the two
     (n, d_h) node terms and the mask, no per-edge hidden array: backward
@@ -322,7 +423,8 @@ def edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep=None, scale: float = 1.0) -> 
     while backward runs, for the sender sum with `scatter_rows`. Values
     come from the same expressions as the separate ops (node and edge
     GEMMs, adds, gelu, dropout, linear, residual add), so their bits are
-    the same; the weight gradients are sums over blocks.
+    the same; the weight gradients are sums over blocks, taken in block
+    order.
     """
     h, e, w1, b1, w2, b2 = (as_tensor(t) for t in (h, e, w1, b1, w2, b2))
     hd, ed, w1d, b1d, w2d = h.data, e.data, w1.data, b1.data, w2.data
@@ -344,11 +446,10 @@ def edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep=None, scale: float = 1.0) -> 
         return z
 
     out = np.empty((n, k, d_e), dtype)
-    pre = np.empty((block, k, d_h), dtype)
-    hidden, scratch = np.empty((2, block, k, d_h), dtype)
-    for r0, r1 in blocks:
-        a = hidden[:r1 - r0]
-        _gelu_into(pre_activation(r0, r1, pre[:r1 - r0]), a, scratch[:r1 - r0])
+
+    def forward(r0, r1, bufs):
+        pre, a, scratch = bufs[:, :r1 - r0]
+        _gelu_into(pre_activation(r0, r1, pre), a, scratch)
         if keep is not None:
             a *= keep[r0:r1]
             a *= scale
@@ -356,6 +457,8 @@ def edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep=None, scale: float = 1.0) -> 
         np.matmul(a.reshape(-1, d_h), w2d, out=y.reshape(-1, d_e))
         y += b2.data
         y += ed[r0:r1]
+
+    run_blocks(forward, blocks, lambda: np.empty((3, block, k, d_h), dtype))
     if not (grad_enabled() and any(t.requires_grad for t in inputs)):
         return _make(out, [], "edge_mlp")
 
@@ -370,11 +473,11 @@ def edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep=None, scale: float = 1.0) -> 
         g_pre = np.empty((n, k, d_h), gtype)
         g_e = np.empty((n, k, d_e), gtype)
         g_self = np.empty((n, d_h), gtype)
-        g_w2 = np.zeros((d_h, d_e), gtype)
-        g_w_edge = np.zeros((d_e, d_h), gtype)
-        g_b1 = np.zeros(d_h, gtype)
-        bufs = np.empty((5, block, k, d_h), gtype)
-        for r0, r1 in blocks:
+        # g_w2, the edge rows of g_w1 and g_b1: each block's share is
+        # added in block order
+        sums = (np.zeros((d_h, d_e), gtype), np.zeros((d_e, d_h), gtype), np.zeros(d_h, gtype))
+
+        def block_grads(r0, r1, bufs):
             half_x, t, inner, value, g_hid = bufs[:, :r1 - r0]
             _gelu_value_slope_into(pre_activation(r0, r1, half_x), value, t, inner, g_hid)
             g_blk = g[r0:r1].reshape(-1, d_e)
@@ -383,13 +486,19 @@ def edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep=None, scale: float = 1.0) -> 
                 for x in (value, g_hid):
                     x *= keep[r0:r1]
                     x *= scale
-            g_w2 += value.reshape(-1, d_h).T @ g_blk
             gp = np.multiply(g_hid, t, out=g_pre[r0:r1]).reshape(-1, d_h)
             np.matmul(gp, w_edge.T, out=g_e[r0:r1].reshape(-1, d_e))
             g_e[r0:r1] += g[r0:r1]
-            g_w_edge += ed[r0:r1].reshape(-1, d_e).T @ gp
-            g_b1 += gp.sum(axis=0)
             g_pre[r0:r1].sum(axis=1, out=g_self[r0:r1])
+            return (value.reshape(-1, d_h).T @ g_blk, ed[r0:r1].reshape(-1, d_e).T @ gp,
+                    gp.sum(axis=0))
+
+        def fold(shares):
+            for total, share in zip(sums, shares):
+                total += share
+
+        run_blocks(block_grads, blocks, lambda: np.empty((5, block, k, d_h), gtype), fold)
+        g_w2, g_w_edge, g_b1 = sums
         g_nbr = scatter_rows(g_pre, neighbors, n)
         memo.update(
             e=g_e, w2=g_w2, b1=g_b1,
@@ -421,10 +530,12 @@ def edge_attention(q, h, e, neighbors, w_k, w_v, heads: int):
     Both are linear in the key and the value, so neither exists per edge:
     each query is pulled back through its head's columns of w_k once per
     node, and each head pools [(sum_j alpha) h_i || sum_j alpha e_ji ||
-    sum_j alpha h_j] before its columns of w_v. h_j is gathered one block
-    of receivers (about EDGE_ROWS edges) at a time, in forward and again
-    in backward, which sums the sender gradient with `scatter_rows`. The
-    tape keeps alpha, the pulled-back queries and the pool.
+    sum_j alpha h_j] before its columns of w_v. The scores, alpha, the
+    pool and the gathered h_j are made one block of receivers (about
+    EDGE_ROWS edges, `run_blocks`) at a time, in forward and again in
+    backward, which sums the sender gradient with `scatter_rows` after
+    the blocks. The tape keeps alpha, the pulled-back queries and the
+    pool.
     """
     q, h, e, w_k, w_v = (as_tensor(t) for t in (q, h, e, w_k, w_v))
     qd, hd, ed, wkd, wvd = q.data, h.data, e.data, w_k.data, w_v.data
@@ -437,15 +548,21 @@ def edge_attention(q, h, e, neighbors, w_k, w_v, heads: int):
     wk_heads = wkd.reshape(d_e, heads, d_k)                    # (d_e, heads, d_k)
     q_heads = qd.reshape(n, heads, d_k).transpose(1, 0, 2)     # (heads, n, d_k)
     q_edge = q_heads @ wk_heads.transpose(1, 2, 0)             # (heads, n, d_e)
-    scores = ed @ q_edge.transpose(1, 2, 0)                    # (n, k, heads)
-    alpha = _softmax_array(scores * scale, axis=1)
-    alpha_t = alpha.transpose(0, 2, 1)                         # (n, heads, k)
+    q_edge_t = q_edge.transpose(1, 2, 0)                       # (n, d_e, heads)
+    alpha = np.empty((n, k, heads), np.result_type(ed, q_edge))
+    pooled = np.empty((n, heads, d_in), np.result_type(alpha, hd))
 
-    pool_j = np.empty((n, heads, d), np.result_type(alpha, hd))
-    for r0, r1 in blocks:
-        np.matmul(alpha_t[r0:r1], hd[neighbors[r0:r1]], out=pool_j[r0:r1])
-    pooled = np.concatenate([alpha.sum(axis=1).reshape(n, heads, 1) * hd.reshape(n, 1, d),
-                             alpha_t @ ed, pool_j], axis=2)    # (n, heads, d_in)
+    def forward(r0, r1, _):
+        scores = ed[r0:r1] @ q_edge_t[r0:r1]                   # (b, k, heads)
+        scores *= scale
+        a = _softmax_array(scores, axis=1, out=alpha[r0:r1])
+        a_t = a.transpose(0, 2, 1)                             # (b, heads, k)
+        pool = pooled[r0:r1]
+        pool[:, :, :d] = a.sum(axis=1).reshape(-1, heads, 1) * hd[r0:r1].reshape(-1, 1, d)
+        pool[:, :, d:d + d_e] = a_t @ ed[r0:r1]
+        pool[:, :, d + d_e:] = a_t @ hd[neighbors[r0:r1]]
+
+    run_blocks(forward, blocks)
     wv_heads = wvd.reshape(d_in, heads, -1).transpose(1, 0, 2)  # (heads, d_in, d_v)
     out = pooled.transpose(1, 0, 2) @ wv_heads                 # (heads, n, d_v)
     h_local = out.transpose(1, 0, 2).reshape(n, d)
@@ -463,25 +580,36 @@ def edge_attention(q, h, e, neighbors, w_k, w_v, heads: int):
         g_heads = g.reshape(n, heads, -1).transpose(1, 0, 2)   # (heads, n, d_v)
         g_w_v = (pooled.transpose(1, 2, 0) @ g_heads).transpose(1, 0, 2).reshape(d_in, d)
         g_pool = (g_heads @ wv_heads.transpose(0, 2, 1)).transpose(1, 0, 2)  # (n, heads, d_in)
-        g_self, g_e, g_j = g_pool[:, :, :d], g_pool[:, :, d:d + d_e], g_pool[:, :, d + d_e:]
-        # alpha's gradient from the three pooled terms; the sender term
-        # gathers h_j again, one block at a time
-        g_alpha = ed @ g_e.transpose(0, 2, 1)                  # (n, k, heads)
-        g_alpha += (g_self @ hd[:, :, None]).transpose(0, 2, 1)
-        g_edge_j = alpha @ g_j                                 # (n, k, d)
-        for r0, r1 in blocks:
-            g_alpha[r0:r1] += hd[neighbors[r0:r1]] @ g_j[r0:r1].transpose(0, 2, 1)
-        g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(axis=1, keepdims=True))
-        g_scores *= scale
-        g_q_edge = g_scores.transpose(0, 2, 1) @ ed            # (n, heads, d_e)
+        gtype = np.result_type(g_pool, alpha, ed, hd)
+        g_q_edge = np.empty((n, heads, d_e), gtype)
+        g_e_rows = np.empty((n, k, d_e), gtype)
+        g_edge_j = np.empty((n, k, d), gtype)
+        g_h_self = np.empty((n, d), gtype)
+
+        def block_grads(r0, r1, _):
+            pool = g_pool[r0:r1]
+            g_self, g_e, g_j = pool[:, :, :d], pool[:, :, d:d + d_e], pool[:, :, d + d_e:]
+            a = alpha[r0:r1]
+            # alpha's gradient from the three pooled terms; the sender
+            # term gathers h_j again
+            g_alpha = ed[r0:r1] @ g_e.transpose(0, 2, 1)       # (b, k, heads)
+            g_alpha += (g_self @ hd[r0:r1, :, None]).transpose(0, 2, 1)
+            g_alpha += hd[neighbors[r0:r1]] @ g_j.transpose(0, 2, 1)
+            g_edge_j[r0:r1] = a @ g_j                          # (b, k, d)
+            g_scores = a * (g_alpha - (g_alpha * a).sum(axis=1, keepdims=True))
+            g_scores *= scale
+            g_q_edge[r0:r1] = g_scores.transpose(0, 2, 1) @ ed[r0:r1]
+            g_e_rows[r0:r1] = a @ g_e + g_scores @ q_edge[:, r0:r1].transpose(1, 0, 2)
+            g_h_self[r0:r1] = (g_self * a.sum(axis=1)[:, :, None]).sum(axis=1)
+
+        run_blocks(block_grads, blocks)
         g_q_edge_heads = g_q_edge.transpose(1, 0, 2)           # (heads, n, d_e)
         memo.update(
             q=(g_q_edge_heads @ wk_heads.transpose(1, 0, 2)).transpose(1, 0, 2).reshape(n, d),
             w_k=(g_q_edge_heads.transpose(0, 2, 1) @ q_heads).transpose(1, 0, 2).reshape(d_e, d),
             w_v=g_w_v,
-            e=alpha @ g_e + g_scores @ q_edge.transpose(1, 0, 2),
-            h=(g_self * alpha.sum(axis=1)[:, :, None]).sum(axis=1)
-            + scatter_rows(g_edge_j, neighbors, n),
+            e=g_e_rows,
+            h=g_h_self + scatter_rows(g_edge_j, neighbors, n),
         )
         return memo
 
@@ -600,7 +728,8 @@ def log(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    z = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
     return _make(out, [(a, lambda g: g * out * (1.0 - out))], "sigmoid")
 
 
@@ -669,12 +798,13 @@ def gelu(a) -> Tensor:
                  [(a, lambda g: g * _gelu_slope(_gelu_parts(x)))], "gelu")
 
 
-def _softmax_array(x: np.ndarray, axis) -> np.ndarray:
-    """Max-shifted softmax of an array; non-finite input raises NumericError."""
+def _softmax_array(x: np.ndarray, axis, out=None) -> np.ndarray:
+    """Max-shifted softmax of an array, into out if given; non-finite
+    input raises NumericError."""
     if not np.all(np.isfinite(x)):
         raise NumericError("softmax input is not finite")
     e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    return np.divide(e, e.sum(axis=axis, keepdims=True), out=out)
 
 
 def softmax(a, axis=-1) -> Tensor:

@@ -2,8 +2,9 @@
 
 Chains grow atom by atom from bond lengths, bond angles, and the
 supplied (phi, psi, omega) torsions, using the standard three-point
-extension construction. Used for test fixtures (ideal helices, trans
-strands) and for the toy training corpus; no PDB input required.
+extension construction. Used for test fixtures (ideal helices, random
+helix and strand mixes) and for the toy training corpus; no PDB input
+required.
 """
 
 from __future__ import annotations
@@ -83,10 +84,6 @@ def build_chain(phis, psis, omegas, sequence=None, chain_id="A") -> ProteinBackb
 
 def ideal_helix(n_res, sequence=None) -> ProteinBackbone:
     return build_chain([HELIX_PHI] * n_res, [HELIX_PSI] * n_res, [math.pi] * n_res, sequence)
-
-
-def trans_strand(n_res, sequence=None) -> ProteinBackbone:
-    return build_chain([STRAND_PHI] * n_res, [STRAND_PSI] * n_res, [math.pi] * n_res, sequence)
 
 
 def random_backbone(seed, n_res, chain_id="A", name="backbone") -> ProteinBackbone:

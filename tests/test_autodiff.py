@@ -1,7 +1,10 @@
 """Tape correctness: per-op gradient checks against central differences,
 backward contracts, and softmax behavior."""
 
+import os
+import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -295,7 +298,7 @@ class TestOpGradients:
     # (40, 30) runs in blocks of EDGE_ROWS // 30 receivers with a short
     # last block; k > EDGE_ROWS puts one receiver in each block
     @pytest.mark.parametrize("n,k", [(6, 4), (40, 30), (3, ad.EDGE_ROWS + 8)])
-    def test_edge_attention_matches_materialized_keys_and_values(self, n, k):
+    def test_edge_attention_matches_materialized_keys_and_values(self, monkeypatch, n, k):
         rng = np.random.default_rng(5)
         d, d_e, heads = 8, 5, 2
         neighbors = rng.integers(0, n, (n, k))
@@ -319,6 +322,21 @@ class TestOpGradients:
         assert np.max(np.abs(untaped.data - ref_out)) < 1e-12
         assert np.array_equal(taped.data, untaped.data)
         assert np.array_equal(taped_alpha.data, alpha.data)
+
+        # the output, alpha and every gradient have the sequential loop's
+        # bits for any number of worker threads; senders are named from
+        # several blocks
+        def run(workers):
+            monkeypatch.setattr(ad, "block_workers", lambda: workers)
+            leaves = [Tensor(x, requires_grad=True) for x in (q, h, e, wk, wv)]
+            out, weights = ad.edge_attention(*leaves[:3], neighbors, *leaves[3:], heads)
+            ad.backward(ad.tsum(ad.mul(out, np.cos(ref_out))))
+            return [out.data, weights.data] + [t.grad for t in leaves]
+
+        sequential = run(1)
+        assert np.array_equal(sequential[0], untaped.data)
+        for workers in (2, 3):
+            assert all(np.array_equal(a, b) for a, b in zip(sequential, run(workers)))
 
     def test_edge_attention_tape_keeps_no_gathered_senders(self):
         n, k, d, d_e, heads = 9, 4, 8, 5, 2
@@ -409,21 +427,125 @@ class TestEdgeMlp:
         keep = RandomStream(2, "mask").keep_mask((n, k, 16), rate) if rate else None
         g = np.random.default_rng(1).standard_normal(e.shape)
 
-        def gradients(edge_rows):
+        def gradients(edge_rows, workers):
             monkeypatch.setattr(ad, "EDGE_ROWS", edge_rows)
+            monkeypatch.setattr(ad, "block_workers", lambda: workers)
             leaves = [Tensor(x, requires_grad=True) for x in (h, e, *weights)]
             x, y, w1, b1, w2, b2 = leaves
             out = ad.edge_mlp(x, y, neighbors, w1, b1, w2, b2, keep, 1.0 / (1.0 - rate))
             ad.backward(ad.tsum(ad.mul(out, g)))
-            return [t.grad for t in leaves]
+            return [t.grad for t in leaves] + [out.data]
 
         # one receiver per block; blocks of two receivers with a short
         # last block (receivers 0 and 5 apart); one block for all
-        one, two, whole = (gradients(rows) for rows in (k, 2 * k, n * k))
+        sizes = (k, 2 * k, n * k)
+        one, two, whole = (gradients(rows, 1) for rows in sizes)
         for other in (two, whole):
             assert all(np.array_equal(a, b) for a, b in zip(one[:2], other[:2]))
-            for a, b in zip(one[2:], other[2:]):
+            for a, b in zip(one[2:6], other[2:6]):
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+        # at a given block size, the output and every gradient have the
+        # sequential loop's bits for any number of worker threads
+        for rows, sequential in zip(sizes, (one, two, whole)):
+            for workers in (2, 3):
+                parallel = gradients(rows, workers)
+                assert all(np.array_equal(a, b) for a, b in zip(sequential, parallel))
+
+
+class TestRunBlocks:
+    BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def test_worker_rule(self, monkeypatch):
+        for var in self.BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        assert ad.block_workers() == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert ad.block_workers() == 1
+        for var in self.BLAS_VARS:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+            monkeypatch.setenv(var, "1")
+            assert ad.block_workers() == len(os.sched_getaffinity(0))
+            # a call from any thread but the main thread runs sequentially
+            seen = []
+            worker = threading.Thread(target=lambda: seen.append(ad.block_workers()))
+            worker.start()
+            worker.join(5)
+            assert not worker.is_alive() and seen == [1]
+            monkeypatch.delenv(var)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_fold_takes_results_in_block_order(self, monkeypatch, workers):
+        # more threads than cores and a short switch interval, so blocks
+        # finish out of order
+        monkeypatch.setattr(ad, "block_workers", lambda: workers)
+        blocks = ad.receiver_blocks(400, ad.EDGE_ROWS // 3)
+        delays = np.random.default_rng(workers).uniform(0, 0.001, len(blocks))
+        out, folded, buffers = np.zeros(400), [], []
+
+        def fn(r0, r1, bufs):
+            time.sleep(delays[r0 // 3])
+            bufs[:r1 - r0] = np.arange(r0, r1)
+            out[r0:r1] = bufs[:r1 - r0]
+            return r0
+
+        def make_buffers():
+            buffers.append(threading.current_thread())
+            return np.empty(3)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ad.run_blocks(fn, blocks, make_buffers, folded.append)
+        finally:
+            sys.setswitchinterval(interval)
+        assert folded == [r0 for r0, _ in blocks]
+        assert np.array_equal(out, np.arange(400))
+        # one set of buffers per thread that took a block
+        assert len(buffers) == len(set(buffers)) <= workers
+
+    def test_worker_exception_reaches_caller_once_every_block_ended(self, monkeypatch):
+        monkeypatch.setattr(ad, "block_workers", lambda: 3)
+        lock, raised, second_started = threading.Lock(), threading.Event(), threading.Event()
+        state = {"active": 0, "worker_calls": 0, "slow_done": False}
+        error = NumericError("softmax input is not finite")
+
+        def fn(r0, r1, _):
+            with lock:
+                state["active"] += 1
+            try:
+                if threading.current_thread() is threading.main_thread():
+                    raised.wait(5)  # let the workers take blocks
+                    return
+                with lock:
+                    state["worker_calls"] += 1
+                    call = state["worker_calls"]
+                if call == 1:
+                    second_started.wait(5)
+                    raised.set()
+                    raise error
+                second_started.set()
+                time.sleep(0.2)
+                state["slow_done"] = True
+            finally:
+                with lock:
+                    state["active"] -= 1
+
+        with pytest.raises(NumericError) as info:
+            ad.run_blocks(fn, ad.receiver_blocks(12, ad.EDGE_ROWS))
+        assert info.value is error
+        assert state["active"] == 0 and state["slow_done"]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_non_finite_score_in_a_late_block_raises(self, monkeypatch, workers):
+        monkeypatch.setattr(ad, "block_workers", lambda: workers)
+        n, k, d, d_e = 6, ad.EDGE_ROWS, 4, 3
+        rng = np.random.default_rng(0)
+        e = rng.standard_normal((n, k, d_e))
+        e[4, 7, 1] = np.inf  # one receiver per block: block 4 of 6
+        with pytest.raises(NumericError, match="softmax input is not finite"):
+            ad.edge_attention(rng.standard_normal((n, d)), rng.standard_normal((n, d)), e,
+                              rng.integers(0, n, (n, k)), rng.standard_normal((d_e, d)),
+                              rng.standard_normal((2 * d + d_e, d)), heads=2)
 
 
 class TestDropout:

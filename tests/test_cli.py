@@ -384,6 +384,20 @@ class TestTrainEval:
         out = ad.mul(ad.Tensor(np.ones(2), requires_grad=True), 2.0)
         assert out.requires_grad and out._node is not None
 
+    def test_eval_jobs_writes_the_same_csv_bytes(self, tmp_path, tiny_config):
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        for i in range(3):
+            write_chain_pdb(dataset / f"p{i}.pdb", 12 + 5 * i, seed=51 + i)
+        written = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"m{jobs}.csv"
+            assert main(["eval", "--dataset", str(dataset), "--config", tiny_config,
+                         "--out", str(out), "--jobs", jobs]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert written[0].count(b"\n") == 5  # header, three proteins, aggregate
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_eval_jobs_below_one_exit_1(self, tmp_path, tiny_config, pdb_file, capsys, jobs):
         dataset = tmp_path / "data"
