@@ -41,14 +41,17 @@ The two per-edge blocks of the encoder are one op each:
   queries and the pooled rows.
 
 Both ops hand their receiver blocks to `run_blocks`, which runs them on
-`block_workers()` threads: the number of usable CPUs when BLAS is pinned
-to one thread (`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` or
-`MKL_NUM_THREADS` set to 1), else 1, and always 1 in a thread other than
-the main thread. Setting `OPENBLAS_NUM_THREADS=1` therefore lets
-inference and training use every core; left unset, a threaded BLAS
-spreads each GEMM instead. Values do not depend on the worker count:
-every block writes only its own rows, and sums over blocks are added in
-block order.
+`block_workers()` threads: the number of usable CPUs when numpy's BLAS
+is pinned to one thread, else 1, and always 1 in a thread other than the
+main thread. BLAS counts as pinned when, of the variables it reads in
+order (OpenBLAS: `OPENBLAS_NUM_THREADS`, `GOTO_NUM_THREADS`,
+`OMP_NUM_THREADS`; MKL: `MKL_NUM_THREADS`, `OMP_NUM_THREADS`), the first
+set to a positive number is 1, as they stood when this module was
+imported. Setting `OPENBLAS_NUM_THREADS=1` before the program starts
+therefore lets inference and training use every core; left unset, a
+threaded BLAS spreads each GEMM instead. Values do not depend on the
+worker count: every block writes only its own rows, and sums over blocks
+are added in block order after the blocks.
 
 Gradients of row gathers (`take_rows`, the sender terms of `edge_mlp`
 and `edge_attention`) are sorted-segment sums (`scatter_rows`): the
@@ -315,63 +318,72 @@ def receiver_blocks(n: int, k: int) -> list:
     return [(r0, min(n, r0 + step)) for r0 in range(0, n, step)]
 
 
-# setting any one of these to 1 pins BLAS to one thread per call
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the variables each BLAS takes its thread count from, in its order of
+# precedence: the first set to a positive number decides
+_BLAS_THREAD_VARS = {
+    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
+}
+# BLAS reads them once, when numpy loads it; this module imports numpy
+# first, so they are read here, not at each call
+_BLAS_ENV = {var: os.environ[var] for names in _BLAS_THREAD_VARS.values()
+             for var in names if var in os.environ}
+
+
+def blas_pinned(environ, blas: str) -> bool:
+    """Whether the BLAS library named `blas` (numpy's build name) runs
+    each call on one thread under the variables in environ. A BLAS other
+    than OpenBLAS or MKL counts as not pinned."""
+    for family, names in _BLAS_THREAD_VARS.items():
+        if family in blas.lower():
+            for var in names:
+                value = environ.get(var, "").strip()
+                if value.isdigit() and int(value) > 0:
+                    return int(value) == 1
+    return False
+
+
+@functools.cache
+def _numpy_blas() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # a numpy too old to report it
+        return ""
 
 
 def block_workers() -> int:
-    """Threads that `run_blocks` uses: the usable CPUs when BLAS is pinned
-    to one thread, else 1 (a BLAS that threads each GEMM already uses the
-    cores). A call from any thread but the main thread gets 1, so callers
-    that run their own threads do not fan out again inside each."""
+    """Threads that `run_blocks` uses: the usable CPUs when numpy's BLAS
+    was loaded pinned to one thread (`blas_pinned`), else 1 (a BLAS that
+    threads each GEMM already uses the cores). A call from any thread but
+    the main thread gets 1, so callers that run their own threads do not
+    fan out again inside each."""
     if threading.current_thread() is not threading.main_thread():
         return 1
-    if not any(os.environ.get(var, "").strip() == "1" for var in _BLAS_THREAD_VARS):
+    if not blas_pinned(_BLAS_ENV, _numpy_blas()):
         return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-_POOL = [0, None]  # (threads, executor), created on first parallel call
+_POOL = []  # the block executor, created on the first parallel call
 
 
-def _pool(threads: int):
-    if _POOL[0] < threads:
-        from concurrent.futures import ThreadPoolExecutor
-        if _POOL[1] is not None:
-            _POOL[1].shutdown(wait=False)
-        _POOL[:] = threads, ThreadPoolExecutor(threads, thread_name_prefix="invfold-blocks")
-    return _POOL[1]
-
-
-def run_blocks(fn, blocks, buffers=None, fold=None) -> None:
-    """fn(r0, r1, bufs) for every (r0, r1) in blocks, on `block_workers()`
+def run_blocks(fn, blocks, buffers=None) -> list:
+    """[fn(r0, r1, bufs) for (r0, r1) in blocks], on `block_workers()`
     threads: the caller and workers from a pool each claim the next
     unclaimed block until none is left. Each thread that claims a block
     calls `buffers()` once for its bufs (None without it). fn must write
-    only its own block's rows of any shared output. `fold(result)` takes
-    fn's results one at a time in block order, as soon as every earlier
-    block's has been taken, so sums over blocks have the sequential
-    loop's bits for any thread count and schedule. Every block task has
-    ended when this returns; if blocks raised, the lowest-numbered
-    block's exception is raised, the one the sequential loop would meet
-    first (blocks claimed after a failure do not start)."""
-    workers = min(block_workers(), len(blocks))
-    if workers <= 1:
-        bufs = buffers() if buffers is not None and blocks else None
-        for r0, r1 in blocks:
-            result = fn(r0, r1, bufs)
-            if fold is not None:
-                fold(result)
-        return
+    only its own block's rows of any shared output. The results come back
+    in block order, so a sum over them taken in that order has the
+    sequential loop's bits for any thread count and schedule. Every block
+    task has ended when this returns; if blocks raised, the
+    lowest-numbered block's exception is raised, the one the sequential
+    loop would meet first (blocks claimed after a failure do not start)."""
     claims = itertools.count()  # next() on it is atomic under the GIL
-    lock = threading.Lock()
-    done, errors = {}, []
-    next_fold = 0  # the block whose result fold takes next
+    results, errors = [None] * len(blocks), []
 
     def drain():
-        nonlocal next_fold
         bufs = None
         while not errors:
             i = next(claims)
@@ -380,23 +392,22 @@ def run_blocks(fn, blocks, buffers=None, fold=None) -> None:
             try:
                 if bufs is None and buffers is not None:
                     bufs = buffers()
-                result = fn(*blocks[i], bufs)
-                if fold is not None:
-                    with lock:
-                        done[i] = result
-                        while next_fold in done:
-                            fold(done.pop(next_fold))
-                            next_fold += 1
+                results[i] = fn(*blocks[i], bufs)
             except BaseException as exc:
                 errors.append((i, exc))
                 return
 
-    tasks = [_pool(workers - 1).submit(drain) for _ in range(workers - 1)]
+    workers = min(block_workers(), len(blocks))
+    if workers > 1 and not _POOL:
+        from concurrent.futures import ThreadPoolExecutor
+        _POOL.append(ThreadPoolExecutor(thread_name_prefix="invfold-blocks"))
+    tasks = [_POOL[0].submit(drain) for _ in range(workers - 1)]
     drain()
     for task in tasks:
         task.result()
     if errors:
         raise min(errors, key=lambda item: item[0])[1]
+    return results
 
 
 def edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep=None, scale: float = 1.0) -> Tensor:
@@ -493,11 +504,9 @@ def edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep=None, scale: float = 1.0) -> 
             return (value.reshape(-1, d_h).T @ g_blk, ed[r0:r1].reshape(-1, d_e).T @ gp,
                     gp.sum(axis=0))
 
-        def fold(shares):
+        for shares in run_blocks(block_grads, blocks, lambda: np.empty((5, block, k, d_h), gtype)):
             for total, share in zip(sums, shares):
                 total += share
-
-        run_blocks(block_grads, blocks, lambda: np.empty((5, block, k, d_h), gtype), fold)
         g_w2, g_w_edge, g_b1 = sums
         g_nbr = scatter_rows(g_pre, neighbors, n)
         memo.update(

@@ -453,34 +453,46 @@ class TestEdgeMlp:
 
 
 class TestRunBlocks:
-    BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    @pytest.mark.parametrize("blas,environ,pinned", [
+        ("scipy-openblas", {}, False),
+        ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "1"}, True),
+        ("scipy-openblas", {"OMP_NUM_THREADS": "1"}, True),
+        ("scipy-openblas", {"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
+        # OpenBLAS reads its own variable first, and ignores MKL's
+        ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ("scipy-openblas", {"MKL_NUM_THREADS": "1"}, False),
+        ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+        ("mkl-sdl", {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
+        ("mkl-sdl", {"OPENBLAS_NUM_THREADS": "1"}, False),
+        ("accelerate", {"OMP_NUM_THREADS": "1"}, False),
+    ])
+    def test_blas_pinned_reads_the_variables_in_the_blas_order(self, blas, environ, pinned):
+        assert ad.blas_pinned(environ, blas) is pinned
 
     def test_worker_rule(self, monkeypatch):
-        for var in self.BLAS_VARS:
-            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(ad, "_numpy_blas", lambda: "scipy-openblas")
+        monkeypatch.setattr(ad, "_BLAS_ENV", {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"})
         assert ad.block_workers() == 1
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        # the variables as numpy's BLAS read them at load, not as they are now
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         assert ad.block_workers() == 1
-        for var in self.BLAS_VARS:
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-            monkeypatch.setenv(var, "1")
-            assert ad.block_workers() == len(os.sched_getaffinity(0))
-            # a call from any thread but the main thread runs sequentially
-            seen = []
-            worker = threading.Thread(target=lambda: seen.append(ad.block_workers()))
-            worker.start()
-            worker.join(5)
-            assert not worker.is_alive() and seen == [1]
-            monkeypatch.delenv(var)
+        monkeypatch.setattr(ad, "_BLAS_ENV", {"OPENBLAS_NUM_THREADS": "1"})
+        assert ad.block_workers() == len(os.sched_getaffinity(0))
+        # a call from any thread but the main thread runs sequentially
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(ad.block_workers()))
+        worker.start()
+        worker.join(5)
+        assert not worker.is_alive() and seen == [1]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_fold_takes_results_in_block_order(self, monkeypatch, workers):
+    def test_results_come_back_in_block_order(self, monkeypatch, workers):
         # more threads than cores and a short switch interval, so blocks
         # finish out of order
         monkeypatch.setattr(ad, "block_workers", lambda: workers)
         blocks = ad.receiver_blocks(400, ad.EDGE_ROWS // 3)
         delays = np.random.default_rng(workers).uniform(0, 0.001, len(blocks))
-        out, folded, buffers = np.zeros(400), [], []
+        out, buffers = np.zeros(400), []
 
         def fn(r0, r1, bufs):
             time.sleep(delays[r0 // 3])
@@ -495,10 +507,10 @@ class TestRunBlocks:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            ad.run_blocks(fn, blocks, make_buffers, folded.append)
+            results = ad.run_blocks(fn, blocks, make_buffers)
         finally:
             sys.setswitchinterval(interval)
-        assert folded == [r0 for r0, _ in blocks]
+        assert results == [r0 for r0, _ in blocks]
         assert np.array_equal(out, np.arange(400))
         # one set of buffers per thread that took a block
         assert len(buffers) == len(set(buffers)) <= workers
