@@ -40,18 +40,19 @@ The two per-edge blocks of the encoder are one op each:
   forward and again in backward; its tape keeps alpha, the pulled-back
   queries and the pooled rows.
 
-Both ops hand their receiver blocks to `run_blocks`, which runs them on
-`block_workers()` threads: the number of usable CPUs when numpy's BLAS
-is pinned to one thread, else 1, and always 1 in a thread other than the
-main thread. BLAS counts as pinned when, of the variables it reads in
-order (OpenBLAS: `OPENBLAS_NUM_THREADS`, `GOTO_NUM_THREADS`,
+Both ops, and the featurizer (`geometry.build_knn_graph`), hand their
+receiver blocks to `run_blocks`, which runs them on `block_workers()`
+threads: the number of usable CPUs when numpy's BLAS is pinned to one
+thread, else 1, and always 1 in a thread other than the main thread.
+BLAS counts as pinned when, of the variables it reads in order
+(OpenBLAS: `OPENBLAS_NUM_THREADS`, `GOTO_NUM_THREADS`,
 `OMP_NUM_THREADS`; MKL: `MKL_NUM_THREADS`, `OMP_NUM_THREADS`), the first
 set to a positive number is 1, as they stood when this module was
 imported. Setting `OPENBLAS_NUM_THREADS=1` before the program starts
-therefore lets inference and training use every core; left unset, a
-threaded BLAS spreads each GEMM instead. Values do not depend on the
-worker count: every block writes only its own rows, and sums over blocks
-are added in block order after the blocks.
+therefore lets featurization, inference and training use every core;
+left unset, a threaded BLAS spreads each GEMM instead. Values do not
+depend on the worker count: every block writes only its own rows, and
+sums over blocks are added in block order after the blocks.
 
 Gradients of row gathers (`take_rows`, the sender terms of `edge_mlp`
 and `edge_attention`) are sorted-segment sums (`scatter_rows`): the

@@ -346,8 +346,13 @@ def cmd_eval(args) -> int:
         except InvfoldError as exc:
             return {"protein": path.stem, "error": str(exc)}
 
-    with ThreadPoolExecutor(max_workers=min(args.jobs, len(pdbs))) as pool:
-        rows = list(pool.map(row, pdbs))
+    jobs = min(args.jobs, len(pdbs))
+    if jobs == 1:
+        # in the calling thread, whose receiver blocks may use every core
+        rows = [row(path) for path in pdbs]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            rows = list(pool.map(row, pdbs))
 
     table = [("protein", "n", "recovery", "ppl", "error")]
     for r in rows:
@@ -507,7 +512,7 @@ def build_parser() -> _Parser:
     p.add_argument("--chain", default="A")
     p.add_argument("--recycles", type=_positive_int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=_positive_int, default=1, help="worker threads, at least 1")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="proteins run at once, at least 1")
     _add_common(p)
     p.set_defaults(fn=cmd_eval)
 

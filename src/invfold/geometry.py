@@ -16,9 +16,16 @@ translation of the input coordinates:
 
 Edge features are stored independently per orientation: the entry for
 j->i lives in receiver i's slot for neighbor j and never aliases i->j.
-They are computed over blocks of receivers (`autodiff.receiver_blocks`)
-and written into the one edge array, so no other array grows with the
-edge count.
+
+The graph is built in one pass over blocks of receivers
+(`autodiff.receiver_blocks`), which `autodiff.run_blocks` spreads over
+its worker threads. Each block finds its own receivers' neighbours from
+the block's CA distances to all n residues: the residues closer than
+the k-th distance, then the lowest-indexed of those at it, so ties go to
+the lower index exactly as in a stable sort of the whole row. It then
+computes their edge features and writes both into its rows of the
+neighbour and edge arrays. No other array grows with the edge count,
+none grows with n^2, and the result does not depend on the worker count.
 
 Anything derived from an atom that the backbone's `present` mask marks
 imputed is zeroed.
@@ -31,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import receiver_blocks
+from .autodiff import receiver_blocks, run_blocks
 from .containers import checked, pack, unpack
 from .errors import (DegenerateFrame, GraphTooSmall, InvalidParameter, ParseError, check_count,
                      check_number)
@@ -129,13 +136,6 @@ class ResidueGraph:
                     or np.shape(feats) != lead + (ends[-1],)):
                 raise InvalidParameter(f"{name} features {np.shape(feats)} do not match "
                                        f"their layout of widths summing to {ends[-1]}")
-
-    def edge_vector(self, sender: int, receiver: int) -> np.ndarray:
-        """The feature vector of the directed edge sender -> receiver."""
-        slots = np.nonzero(self.neighbors[receiver] == sender)[0]
-        if slots.size == 0:
-            raise KeyError(f"{sender} is not a neighbor of {receiver}")
-        return self.edge_feats[receiver, slots[0]]
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -274,15 +274,27 @@ def _assemble(blocks: dict):
             _layout({family: block.shape[-1] for family, block in blocks.items()}))
 
 
-def _nearest(ca: np.ndarray, k: int) -> np.ndarray:
-    """(n, k) int32: each residue's k nearest other residues by CA distance,
-    nearest first. The (n, n) temporaries die on return."""
-    sq = ca[:, None, :] - ca[None, :, :]
+def _nearest(ca: np.ndarray, r0: int, r1: int, k: int) -> np.ndarray:
+    """(r1 - r0, k): the k nearest other residues of receivers r0..r1-1 by
+    CA distance, nearest first, equidistant ones in ascending index order.
+    The temporaries are (r1 - r0, n) arrays and one (r1 - r0, n, 3)."""
+    sq = ca[r0:r1, None, :] - ca[None, :, :]
     sq *= sq
-    dist = np.sqrt(np.sum(sq, axis=-1))
-    np.fill_diagonal(dist, np.inf)
-    # Stable argsort: equidistant candidates resolve to the lower index.
-    return np.argsort(dist, axis=1, kind="stable")[:, :k].astype(np.int32)
+    dist = np.sum(sq, axis=-1)
+    del sq  # freed before the selection's temporaries
+    np.sqrt(dist, out=dist)
+    rows = np.arange(r1 - r0)
+    dist[rows, r0 + rows] = np.inf
+    # Every residue closer than the k-th distance is taken, and of those
+    # at it the lowest-indexed fill the row up to k: the first k of a
+    # stable sort of the whole row.
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+    below = dist < kth
+    tied = dist == kth
+    tied &= np.cumsum(tied, axis=1) <= k - np.count_nonzero(below, axis=1)[:, None]
+    cols = np.nonzero(below | tied)[1].reshape(r1 - r0, k)  # ascending index per row
+    order = np.argsort(np.take_along_axis(dist, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
 
 
 def build_knn_graph(backbone: ProteinBackbone, cfg: FeatureConfig, ss=None) -> ResidueGraph:
@@ -298,8 +310,6 @@ def build_knn_graph(backbone: ProteinBackbone, cfg: FeatureConfig, ss=None) -> R
     k_eff = min(cfg.k, n - 1)
 
     coords = backbone.coords()  # (n, 4, 3)
-    neighbors = _nearest(coords[:, 1], k_eff)
-
     atom_valid = backbone.present
 
     a_idx, b_idx = np.triu_indices(4, 1)  # the 6 atom pairs (0, 1), (0, 2), ..., (2, 3)
@@ -328,17 +338,22 @@ def build_knn_graph(backbone: ProteinBackbone, cfg: FeatureConfig, ss=None) -> R
         "secondary_structure": ss_onehot,
     })
 
-    # The edge array is the only per-edge allocation: each block of
-    # receivers computes its features and writes them into its rows. It
-    # starts zeroed, so the relative-position one-hot only sets its ones.
+    # The neighbour and edge arrays are the only per-edge allocations:
+    # each block of receivers finds its neighbours, computes their edge
+    # features and writes both into its own rows. The edge array starts
+    # zeroed, so the relative-position one-hot only sets its ones.
     basis, valid = local_frames(backbone)
     edge_layout = _layout(cfg.edge_widths)
     inter_cols, quat_cols, relpos_cols = (slice(b["offset"], b["offset"] + b["width"])
                                           for b in edge_layout)
     clamp = cfg.relative_position_clamp
+    ca = coords[:, 1]
+    neighbors = np.empty((n, k_eff), dtype=np.int32)
     edge_feats = np.zeros((n, k_eff, cfg.edge_dim))
-    for r0, r1 in receiver_blocks(n, k_eff):
+
+    def block(r0, r1, _):
         nbr, out = neighbors[r0:r1], edge_feats[r0:r1]
+        nbr[:] = _nearest(ca, r0, r1, k_eff)
         # 4x4 heavy-atom distances, receiver atom first.
         recv = coords[r0:r1, None, :, None, :]        # (b, 1, 4, 1, 3)
         send = coords[nbr][:, :, None, :, :]          # (b, k', 1, 4, 3)
@@ -353,6 +368,8 @@ def build_knn_graph(backbone: ProteinBackbone, cfg: FeatureConfig, ss=None) -> R
 
         sep = np.clip(nbr - np.arange(r0, r1)[:, None], -clamp, clamp) + clamp
         np.put_along_axis(out[:, :, relpos_cols], sep[..., None], 1.0, axis=-1)
+
+    run_blocks(block, receiver_blocks(n, k_eff))
 
     return ResidueGraph(
         n=n,

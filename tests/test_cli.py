@@ -384,6 +384,27 @@ class TestTrainEval:
         out = ad.mul(ad.Tensor(np.ones(2), requires_grad=True), 2.0)
         assert out.requires_grad and out._node is not None
 
+    @pytest.mark.parametrize("jobs, in_main", [("1", True), ("2", False)])
+    def test_eval_jobs_1_runs_its_blocks_from_the_calling_thread(self, tmp_path, tiny_config,
+                                                                 monkeypatch, jobs, in_main):
+        import threading
+        from invfold import autodiff as ad
+        dataset = tmp_path / "data"
+        dataset.mkdir()
+        for i in range(2):
+            write_chain_pdb(dataset / f"p{i}.pdb", 14, seed=61 + i)
+        calls = []
+
+        def counted():
+            calls.append(threading.current_thread() is threading.main_thread())
+            return 1
+
+        monkeypatch.setattr(ad, "block_workers", counted)
+        assert main(["eval", "--dataset", str(dataset), "--config", tiny_config,
+                     "--out", str(tmp_path / "m.csv"), "--jobs", jobs]) == 0
+        # with one job every block pass may fan out over the cores
+        assert calls and set(calls) == {in_main}
+
     def test_eval_jobs_writes_the_same_csv_bytes(self, tmp_path, tiny_config):
         dataset = tmp_path / "data"
         dataset.mkdir()

@@ -318,8 +318,8 @@ class TestKnnGraph:
     def test_directed_edge_features_differ(self, small_graph):
         i, j = 0, int(small_graph.neighbors[0, 0])
         if i in small_graph.neighbors[j]:
-            e_ij = small_graph.edge_vector(i, j)
-            e_ji = small_graph.edge_vector(j, i)
+            e_ij = small_graph.edge_feats[j, np.nonzero(small_graph.neighbors[j] == i)[0][0]]
+            e_ji = small_graph.edge_feats[i, np.nonzero(small_graph.neighbors[i] == j)[0][0]]
             assert not np.array_equal(e_ij, e_ji)
 
     def test_mask_marks_unk(self):
@@ -346,6 +346,25 @@ class TestKnnGraph:
                             ss=[99] * len(small_backbone))
 
 
+def whole_graph_nearest(ca, k):
+    """The neighbour search before it ran over receiver blocks: (n, k)
+    int32 from the whole (n, n) distance matrix and a stable argsort, so
+    equidistant candidates resolve to the lower index."""
+    sq = ca[:, None, :] - ca[None, :, :]
+    sq *= sq
+    dist = np.sqrt(np.sum(sq, axis=-1))
+    np.fill_diagonal(dist, np.inf)
+    return np.argsort(dist, axis=1, kind="stable")[:, :k].astype(np.int32)
+
+
+def cubic_lattice(side, spacing=3.8):
+    """A backbone whose CA atoms sit on a side^3 cubic lattice, so CA
+    distances tie exactly; the other atoms keep one offset from CA."""
+    ca = np.stack(np.meshgrid(*[np.arange(side) * spacing] * 3, indexing="ij"), -1).reshape(-1, 3)
+    offsets = np.array([[-1.0, 0.3, 0.0], [0.0, 0.0, 0.0], [1.2, 0.4, 0.1], [1.5, 1.0, 0.3]])
+    return backbone_of(ca[:, None, :] + offsets)
+
+
 def whole_array_graph(backbone, cfg, ss=None):
     """The featurizer before it ran over receiver blocks: each feature
     family built as one array over all n residues (all n k' edges), then
@@ -353,11 +372,7 @@ def whole_array_graph(backbone, cfg, ss=None):
     n = len(backbone)
     k = min(cfg.k, n - 1)
     coords, atom_valid = backbone.coords(), backbone.present
-    ca = coords[:, 1]
-    diff = ca[:, None, :] - ca[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    np.fill_diagonal(dist, np.inf)
-    nbr = np.argsort(dist, axis=1, kind="stable")[:, :k].astype(np.int32)
+    nbr = whole_graph_nearest(coords[:, 1], k)
 
     a_idx, b_idx = np.triu_indices(4, 1)
     intra = rbf_encode(np.linalg.norm(coords[:, a_idx] - coords[:, b_idx], axis=-1), cfg)
@@ -426,6 +441,41 @@ class TestBlockedFeaturizer:
             assert not local_frames(backbone)[1].all()
 
 
+class TestBlockedNeighbourSearch:
+    """Each receiver block finds its own neighbours; the result is the
+    whole-matrix stable sort's, bit for bit, dtype included."""
+
+    @staticmethod
+    def check(backbone, cfg):
+        g = build_knn_graph(backbone, cfg)
+        expect = whole_graph_nearest(backbone.coords()[:, 1], min(cfg.k, len(backbone) - 1))
+        assert g.neighbors.dtype == expect.dtype == np.int32
+        assert np.array_equal(g.neighbors, expect)
+
+    @pytest.mark.parametrize("n", [2, 3, 49, 1000])
+    def test_seeded_chain(self, n):
+        self.check(random_backbone(n, n), FeatureConfig(rbf_count=2))
+
+    # k' = n - 1: every row holds every other residue
+    @pytest.mark.parametrize("n, k", [(20, 19), (20, 48), (60, 59)])
+    def test_k_at_least_n_minus_one(self, monkeypatch, n, k):
+        monkeypatch.setattr(ad, "EDGE_ROWS", 64)  # more than one block
+        self.check(random_backbone(7, n), FeatureConfig(k=k, rbf_count=2))
+
+    # 216 residues on a lattice, where many CA distances tie exactly
+    @pytest.mark.parametrize("k", [1, 6, 26, 48, 214, 215])
+    def test_exact_tie_lattice(self, k):
+        self.check(cubic_lattice(6), FeatureConfig(k=k, rbf_count=2))
+
+    def test_container_bytes_do_not_depend_on_the_worker_count(self, monkeypatch):
+        backbone = random_backbone(4, 300)
+        written = []
+        for workers in (1, 3):
+            monkeypatch.setattr(ad, "block_workers", lambda: workers)
+            written.append(bytes(serialize_graph(build_knn_graph(backbone, FeatureConfig()))))
+        assert written[0] == written[1]
+
+
 class TestFeaturizerMemory:
     """At n = 1000 the edge array is the featurizer's one per-edge
     allocation, and serializing writes the container once."""
@@ -447,6 +497,15 @@ class TestFeaturizerMemory:
         out = g.neighbors.nbytes + g.node_feats.nbytes + g.edge_feats.nbytes
         # 1.03 here; 2.35 when each feature family was a whole array
         assert peak <= 1.1 * out
+
+    def test_featurizer_peak_is_linear_in_edges(self):
+        # a narrow config at n = 4000: no (n, n) search array may set the peak
+        backbone = random_backbone(0, 4000)
+        g, peak = self.traced_peak(
+            lambda: build_knn_graph(backbone, FeatureConfig(k=8, rbf_count=2)))
+        out = g.neighbors.nbytes + g.node_feats.nbytes + g.edge_feats.nbytes
+        # about 1.7 with two block workers; 23.7 with the whole-matrix search
+        assert peak < 4 * out
 
     def test_serializer_peak_is_its_container(self):
         g = build_knn_graph(random_backbone(0, 1000), FeatureConfig())
