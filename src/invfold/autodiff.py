@@ -30,15 +30,16 @@ are the same with or without a tape.
 The two per-edge blocks of the encoder are one op each:
 - `edge_mlp`, the residual per-edge MLP, runs over blocks of receivers,
   in forward and again in backward, so the hidden activations stay in
-  cache between the GEMMs; its tape keeps the two (n, d_h) node terms
-  and the dropout mask, and backward recomputes each block's
-  pre-activation instead of keeping it.
+  cache between the GEMMs; each block draws its own rows of the dropout
+  mask from the stream at their counter offset. Its tape keeps the two
+  (n, d_h) node terms and the mask packed to one bit per entry, and
+  backward recomputes each block's pre-activation instead of keeping it.
 - `edge_attention`, edge-keyed attention, never forms a key or a value
   per edge: it pulls each query back through W_K and pools the inputs of
   the values with alpha before W_V. The scores, the softmax, the pooled
   terms and the gathered senders exist one receiver block at a time, in
-  forward and again in backward; its tape keeps alpha, the pulled-back
-  queries and the pooled rows.
+  forward and again in backward; its tape keeps alpha, and backward
+  rebuilds the pulled-back queries and the pool.
 
 Both ops, and the featurizer (`geometry.build_knn_graph`), hand their
 receiver blocks to `run_blocks`, which runs them on `block_workers()`
@@ -411,32 +412,38 @@ def run_blocks(fn, blocks, buffers=None) -> list:
     return results
 
 
-def edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep=None, scale: float = 1.0) -> Tensor:
+def edge_mlp(h, e, neighbors, w1, b1, w2, b2, stream: RandomStream | None = None,
+             rate: float = 0.0) -> Tensor:
     """Residual per-edge MLP: e_ji + gelu([h_i || h_j || e_ji] w1 + b1) w2 + b2.
 
     h: (n, d) node states, e: (n, k, d_e) edge states, neighbors: (n, k)
     sender indices; w1 holds d receiver, d sender and d_e edge rows in
-    that order, and w2 maps the hidden width back to d_e. With a boolean
-    `keep` of the hidden shape (n, k, d_h) the hidden activation is
-    multiplied by `keep * scale` (inverted dropout).
+    that order, and w2 maps the hidden width back to d_e. With a stream
+    and a rate in (0, 1) the hidden activation gets inverted dropout:
+    it is multiplied by keep / (1 - rate), where keep is the mask of the
+    hidden shape (n, k, d_h) that `stream.keep_mask` would return as the
+    stream's first draw.
 
     The wide concatenation never exists: the node segments of w1 run as
     (n, d) GEMMs whose rows are broadcast (receiver) or gathered (sender)
     onto the edges. Forward and backward run over the same blocks of
     receivers, about EDGE_ROWS edges each (`run_blocks`), and every
     per-edge hidden array is one block's buffer, one set per thread. The
-    forward's edge GEMM, node terms and b1, GELU, the dropout multiply, the second GEMM, b2 and the
-    residual all touch a block while it is in cache, and only the output
-    is allocated per edge. On a tape the op keeps its inputs, the two
-    (n, d_h) node terms and the mask, no per-edge hidden array: backward
-    recomputes each block's pre-activation, GELU's value and slope, and
-    writes the block's edge gradient and its share of the weight
-    gradients; only the pre-activation gradient is one (n, k, d_h) array
-    while backward runs, for the sender sum with `scatter_rows`. Values
-    come from the same expressions as the separate ops (node and edge
-    GEMMs, adds, gelu, dropout, linear, residual add), so their bits are
-    the same; the weight gradients are sums over blocks, taken in block
-    order.
+    forward's edge GEMM, node terms and b1, GELU, the dropout multiply,
+    the second GEMM, b2 and the residual all touch a block while it is in
+    cache, and only the output is allocated per edge. Each block draws
+    its own rows of the mask (`RandomStream.keep_mask_at` at offset
+    r0 k d_h), so no (n, k, d_h) mask exists. On a tape the op keeps its
+    inputs, the two (n, d_h) node terms and the mask packed to one bit
+    per entry (`np.packbits` along the hidden axis), no per-edge float
+    array: backward unpacks its block's rows, recomputes the block's
+    pre-activation, GELU's value and slope, and writes the block's edge
+    gradient and its share of the weight gradients; only the
+    pre-activation gradient is one (n, k, d_h) array while backward
+    runs, for the sender sum with `scatter_rows`. Values come from the
+    same expressions as the separate ops (node and edge GEMMs, adds,
+    gelu, dropout, linear, residual add), so their bits are the same;
+    the weight gradients are sums over blocks, taken in block order.
     """
     h, e, w1, b1, w2, b2 = (as_tensor(t) for t in (h, e, w1, b1, w2, b2))
     hd, ed, w1d, b1d, w2d = h.data, e.data, w1.data, b1.data, w2.data
@@ -449,6 +456,13 @@ def edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep=None, scale: float = 1.0) -> 
     dtype = np.result_type(*(t.data for t in inputs))
     blocks = receiver_blocks(n, k)
     block = max((r1 - r0 for r0, r1 in blocks), default=0)
+    taped = grad_enabled() and any(t.requires_grad for t in inputs)
+    drop = stream is not None and rate != 0.0
+    if drop and not 0.0 <= rate < 1.0:
+        raise NumericError(f"dropout rate must be in [0, 1), got {rate}")
+    scale = 1.0 / (1.0 - rate) if drop else 1.0
+    # the taped mask, one bit per entry
+    packed = np.empty((n, k, (d_h + 7) // 8), np.uint8) if drop and taped else None
 
     def pre_activation(r0, r1, z):
         np.matmul(ed[r0:r1].reshape(-1, d_e), w_edge, out=z.reshape(-1, d_h))
@@ -462,16 +476,19 @@ def edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep=None, scale: float = 1.0) -> 
     def forward(r0, r1, bufs):
         pre, a, scratch = bufs[:, :r1 - r0]
         _gelu_into(pre_activation(r0, r1, pre), a, scratch)
-        if keep is not None:
-            a *= keep[r0:r1]
+        if drop:
+            keep = stream.keep_mask_at(a.shape, rate, r0 * k * d_h)
+            a *= keep
             a *= scale
+            if packed is not None:
+                packed[r0:r1] = np.packbits(keep, axis=-1)
         y = out[r0:r1]
         np.matmul(a.reshape(-1, d_h), w2d, out=y.reshape(-1, d_e))
         y += b2.data
         y += ed[r0:r1]
 
     run_blocks(forward, blocks, lambda: np.empty((3, block, k, d_h), dtype))
-    if not (grad_enabled() and any(t.requires_grad for t in inputs)):
+    if not taped:
         return _make(out, [], "edge_mlp")
 
     memo = {}
@@ -494,9 +511,10 @@ def edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep=None, scale: float = 1.0) -> 
             _gelu_value_slope_into(pre_activation(r0, r1, half_x), value, t, inner, g_hid)
             g_blk = g[r0:r1].reshape(-1, d_e)
             np.matmul(g_blk, w2d.T, out=g_hid.reshape(-1, d_h))
-            if keep is not None:
+            if packed is not None:
+                keep = np.unpackbits(packed[r0:r1], axis=-1, count=d_h).view(bool)
                 for x in (value, g_hid):
-                    x *= keep[r0:r1]
+                    x *= keep
                     x *= scale
             gp = np.multiply(g_hid, t, out=g_pre[r0:r1]).reshape(-1, d_h)
             np.matmul(gp, w_edge.T, out=g_e[r0:r1].reshape(-1, d_e))
@@ -544,8 +562,11 @@ def edge_attention(q, h, e, neighbors, w_k, w_v, heads: int):
     pool and the gathered h_j are made one block of receivers (about
     EDGE_ROWS edges, `run_blocks`) at a time, in forward and again in
     backward, which sums the sender gradient with `scatter_rows` after
-    the blocks. The tape keeps alpha, the pulled-back queries and the
-    pool.
+    the blocks. The tape keeps alpha, the inputs and the index, nothing
+    else: backward pulls the queries back again and refills each block's
+    rows of the pool from the senders it gathers anyway, with the
+    forward's expressions, so the pool and w_v's gradient have the
+    forward's bits.
     """
     q, h, e, w_k, w_v = (as_tensor(t) for t in (q, h, e, w_k, w_v))
     qd, hd, ed, wkd, wvd = q.data, h.data, e.data, w_k.data, w_v.data
@@ -557,20 +578,29 @@ def edge_attention(q, h, e, neighbors, w_k, w_v, heads: int):
 
     wk_heads = wkd.reshape(d_e, heads, d_k)                    # (d_e, heads, d_k)
     q_heads = qd.reshape(n, heads, d_k).transpose(1, 0, 2)     # (heads, n, d_k)
-    q_edge = q_heads @ wk_heads.transpose(1, 2, 0)             # (heads, n, d_e)
-    q_edge_t = q_edge.transpose(1, 2, 0)                       # (n, d_e, heads)
-    alpha = np.empty((n, k, heads), np.result_type(ed, q_edge))
-    pooled = np.empty((n, heads, d_in), np.result_type(alpha, hd))
+
+    def pull_back_queries():
+        return q_heads @ wk_heads.transpose(1, 2, 0)           # (heads, n, d_e)
+
+    q_edge_t = pull_back_queries().transpose(1, 2, 0)          # (n, d_e, heads)
+    alpha = np.empty((n, k, heads), np.result_type(ed, q_edge_t))
+    pool_type = np.result_type(alpha, hd)
+
+    def pool_rows(r0, r1, h_j, pool):
+        # the block's rows of the pool, from alpha and the gathered h_j
+        a = alpha[r0:r1]
+        a_t = a.transpose(0, 2, 1)                             # (b, heads, k)
+        pool[:, :, :d] = a.sum(axis=1).reshape(-1, heads, 1) * hd[r0:r1].reshape(-1, 1, d)
+        pool[:, :, d:d + d_e] = a_t @ ed[r0:r1]
+        pool[:, :, d + d_e:] = a_t @ h_j
+
+    pooled = np.empty((n, heads, d_in), pool_type)
 
     def forward(r0, r1, _):
         scores = ed[r0:r1] @ q_edge_t[r0:r1]                   # (b, k, heads)
         scores *= scale
-        a = _softmax_array(scores, axis=1, out=alpha[r0:r1])
-        a_t = a.transpose(0, 2, 1)                             # (b, heads, k)
-        pool = pooled[r0:r1]
-        pool[:, :, :d] = a.sum(axis=1).reshape(-1, heads, 1) * hd[r0:r1].reshape(-1, 1, d)
-        pool[:, :, d:d + d_e] = a_t @ ed[r0:r1]
-        pool[:, :, d + d_e:] = a_t @ hd[neighbors[r0:r1]]
+        _softmax_array(scores, axis=1, out=alpha[r0:r1])
+        pool_rows(r0, r1, hd[neighbors[r0:r1]], pooled[r0:r1])
 
     run_blocks(forward, blocks)
     wv_heads = wvd.reshape(d_in, heads, -1).transpose(1, 0, 2)  # (heads, d_in, d_v)
@@ -588,23 +618,25 @@ def edge_attention(q, h, e, neighbors, w_k, w_v, heads: int):
         if memo:
             return memo
         g_heads = g.reshape(n, heads, -1).transpose(1, 0, 2)   # (heads, n, d_v)
-        g_w_v = (pooled.transpose(1, 2, 0) @ g_heads).transpose(1, 0, 2).reshape(d_in, d)
         g_pool = (g_heads @ wv_heads.transpose(0, 2, 1)).transpose(1, 0, 2)  # (n, heads, d_in)
         gtype = np.result_type(g_pool, alpha, ed, hd)
+        q_edge = pull_back_queries()
+        pool = np.empty((n, heads, d_in), pool_type)
         g_q_edge = np.empty((n, heads, d_e), gtype)
         g_e_rows = np.empty((n, k, d_e), gtype)
         g_edge_j = np.empty((n, k, d), gtype)
         g_h_self = np.empty((n, d), gtype)
 
         def block_grads(r0, r1, _):
-            pool = g_pool[r0:r1]
-            g_self, g_e, g_j = pool[:, :, :d], pool[:, :, d:d + d_e], pool[:, :, d + d_e:]
+            g_blk = g_pool[r0:r1]
+            g_self, g_e, g_j = g_blk[:, :, :d], g_blk[:, :, d:d + d_e], g_blk[:, :, d + d_e:]
             a = alpha[r0:r1]
-            # alpha's gradient from the three pooled terms; the sender
-            # term gathers h_j again
+            h_j = hd[neighbors[r0:r1]]
+            pool_rows(r0, r1, h_j, pool[r0:r1])
+            # alpha's gradient from the three pooled terms
             g_alpha = ed[r0:r1] @ g_e.transpose(0, 2, 1)       # (b, k, heads)
             g_alpha += (g_self @ hd[r0:r1, :, None]).transpose(0, 2, 1)
-            g_alpha += hd[neighbors[r0:r1]] @ g_j.transpose(0, 2, 1)
+            g_alpha += h_j @ g_j.transpose(0, 2, 1)
             g_edge_j[r0:r1] = a @ g_j                          # (b, k, d)
             g_scores = a * (g_alpha - (g_alpha * a).sum(axis=1, keepdims=True))
             g_scores *= scale
@@ -617,7 +649,7 @@ def edge_attention(q, h, e, neighbors, w_k, w_v, heads: int):
         memo.update(
             q=(g_q_edge_heads @ wk_heads.transpose(1, 0, 2)).transpose(1, 0, 2).reshape(n, d),
             w_k=(g_q_edge_heads.transpose(0, 2, 1) @ q_heads).transpose(1, 0, 2).reshape(d_e, d),
-            w_v=g_w_v,
+            w_v=(pool.transpose(1, 2, 0) @ g_heads).transpose(1, 0, 2).reshape(d_in, d),
             e=g_e_rows,
             h=g_h_self + scatter_rows(g_edge_j, neighbors, n),
         )

@@ -122,15 +122,18 @@ def edge_update(h: Tensor, e: Tensor, neighbors: np.ndarray, mlp: MlpBlock,
 
     Each oriented channel reads only its own entry and the node states,
     so the same-layer cross-channel derivative is exactly zero. The MLP
-    runs as one fused op (`ad.edge_mlp`); its dropout mask is the one the
-    block's hidden layer draws from `stream.child("drop0")`.
+    runs as one fused op (`ad.edge_mlp`). When training with dropout it
+    gets `stream.child("drop0")` and the rate, and each receiver block
+    draws its rows of the hidden layer's mask from that stream, the mask
+    `keep_mask` would draw there whole. On a tape the op keeps the mask
+    packed to one bit per entry, the two (n, d_h) node terms and its
+    inputs.
     """
     first, second = mlp.layers
-    keep, scale = None, 1.0
+    drop, rate = None, 0.0
     if training and mlp.dropout > 0.0:
-        keep = stream.child("drop0").keep_mask(e.shape[:2] + first.w.shape[1:], mlp.dropout)
-        scale = 1.0 / (1.0 - mlp.dropout)
-    return ad.edge_mlp(h, e, neighbors, first.w, first.b, second.w, second.b, keep, scale)
+        drop, rate = stream.child("drop0"), mlp.dropout
+    return ad.edge_mlp(h, e, neighbors, first.w, first.b, second.w, second.b, drop, rate)
 
 
 def global_context_bridge(h_local: Tensor, params: BridgeParams,

@@ -9,6 +9,13 @@ The bit source is Philox (4x64, counter-based); stream keys are derived
 from ``blake2b(generator:seed:name)``. Gaussians come from Box-Muller on
 the raw uniform stream rather than the ziggurat, so the exact values are
 reproducible from the generator name alone.
+
+Philox is counter-based: the 64-bit draw number m of a stream is one
+block of the key and the counter m // 4, so any stretch of a stream's
+draws can be made without the draws before it. `keep_mask_at` uses this
+to draw rows of a keep mask at an offset, as the receiver blocks of
+`autodiff.edge_mlp` do, each on its own thread, with the bits of the
+whole mask drawn at once.
 """
 
 from __future__ import annotations
@@ -30,8 +37,8 @@ class RandomStream:
         digest = hashlib.blake2b(
             f"{GENERATOR_NAME}:{self.seed}:{name}".encode(), digest_size=16
         ).digest()
-        key = np.frombuffer(digest, dtype=np.uint64)
-        self._bits = np.random.Philox(key=key)
+        self._key = np.frombuffer(digest, dtype=np.uint64)
+        self._bits = np.random.Philox(key=self._key)
 
     def child(self, name: str) -> "RandomStream":
         """Derive an independent stream; same (seed, path) -> same stream."""
@@ -68,10 +75,21 @@ class RandomStream:
         return z.reshape(shape) if shape else z[0]
 
     def keep_mask(self, shape, rate: float) -> np.ndarray:
-        """Boolean keep-mask equivalent to uniform(shape) >= rate."""
+        """Boolean keep-mask equivalent to uniform(shape) >= rate, for a
+        rate in [0, 1)."""
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        threshold = np.uint64(int(rate * 2.0**53))
-        return ((self._raw(count) >> np.uint64(11)) >= threshold).reshape(shape)
+        return _keep(self._raw(count), rate).reshape(shape)
+
+    def keep_mask_at(self, shape, rate: float, offset: int) -> np.ndarray:
+        """Entries offset, offset + 1, ... of the mask that keep_mask
+        returns as the stream's first draw, in the given shape. Neither
+        reads nor moves the stream's own position, so calls may run on
+        several threads at once."""
+        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        skip = offset % 4  # each counter value makes four draws
+        bits = np.random.Philox(key=self._key, counter=offset // 4)
+        raw = np.asarray(bits.random_raw(skip + count), dtype=np.uint64)[skip:]
+        return _keep(raw, rate).reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n)."""
@@ -83,3 +101,9 @@ class RandomStream:
         vals = (low + np.floor(u * (high - low))).astype(np.int64)
         vals = np.minimum(vals, high - 1)
         return vals.reshape(shape) if shape else int(vals[0])
+
+
+def _keep(raw: np.ndarray, rate: float) -> np.ndarray:
+    """raw >> 11 >= rate * 2**53 as one comparison: x >> 11 >= t exactly
+    when x >= t << 11, which stays below 2**64 for a rate below 1."""
+    return raw >= np.uint64(int(rate * 2.0**53) << 11)

@@ -253,16 +253,6 @@ def deserialize_backbone(data: bytes) -> ProteinBackbone:
                                np.array(seq_index, dtype=np.int64), header["chain_id"])
 
 
-def write_backbone(backbone: ProteinBackbone, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_backbone(backbone))
-
-
-def read_backbone(path) -> ProteinBackbone:
-    with open(path, "rb") as fh:
-        return deserialize_backbone(fh.read())
-
-
 def write_fasta(path, header: str, sequence: str) -> None:
     with open(path, "w") as fh:
         fh.write(f">{header}\n")

@@ -253,12 +253,12 @@ class TestOpGradients:
         b1 = param((6,), seed=31)
         w2 = param((6, 5), seed=32)
         b2 = param((5,), seed=33)
-        keep = RandomStream(3, "mask").keep_mask((4, 2, 6), 0.25)
+        drop = RandomStream(3, "mask")
         wmix = rand((4, 2, 5), seed=34)
         params = {"h": h, "e": e, "w1": w1, "b1": b1, "w2": w2, "b2": b2}
 
         def f():
-            out = ad.edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep, 1 / 0.75)
+            out = ad.edge_mlp(h, e, neighbors, w1, b1, w2, b2, drop, 0.25)
             return ad.tsum(ad.mul(out, wmix))
 
         assert check_gradient(f, params, eps=1e-6) < 1e-6
@@ -345,8 +345,9 @@ class TestOpGradients:
         q, h, e, wk, wv = (Tensor(rng.standard_normal(shape), requires_grad=True)
                            for shape in ((n, d), (n, d), (n, k, d_e), (d_e, d), (2 * d + d_e, d)))
         out, _ = ad.edge_attention(q, h, e, neighbors, wk, wv, heads)
-        # alpha, the pulled-back queries, the pool, the five inputs and the index
-        held = 8 * (n * k * heads + heads * n * d_e + n * heads * (2 * d + d_e))
+        # alpha, the five inputs and the index; backward rebuilds the
+        # pulled-back queries and the pool
+        held = 8 * n * k * heads
         held += sum(t.data.nbytes for t in (q, h, e, wk, wv)) + neighbors.nbytes
         # the op, its five leaves and the sum
         assert ad.tape_stats(ad.tsum(out)) == (7, held)
@@ -369,13 +370,14 @@ class TestOpGradients:
 def unfused_edge_mlp(h, e, neighbors, w1, b1, w2, b2, stream=None, rate=0.0):
     """The edge MLP as separate ops: node and edge segments of w1, b1,
     gelu, dropout, the second linear and the residual add."""
+    h, e = ad.as_tensor(h), ad.as_tensor(e)
     n, d = h.shape
     w_self, w_nbr, w_edge = Tensor(w1[:d]), Tensor(w1[d:2 * d]), Tensor(w1[2 * d:])
-    x = ad.add(ad.linear(Tensor(e), w_edge), ad.reshape(ad.matmul(Tensor(h), w_self), (n, 1, -1)))
-    x = ad.add(ad.add(x, ad.take_rows(ad.matmul(Tensor(h), w_nbr), neighbors)), Tensor(b1))
+    x = ad.add(ad.linear(e, w_edge), ad.reshape(ad.matmul(h, w_self), (n, 1, -1)))
+    x = ad.add(ad.add(x, ad.take_rows(ad.matmul(h, w_nbr), neighbors)), Tensor(b1))
     x = ad.gelu(x)
     x = ad.dropout(x, rate, stream, training=True)
-    return ad.add(Tensor(e), ad.linear(x, Tensor(w2), Tensor(b2)))
+    return ad.add(e, ad.linear(x, Tensor(w2), Tensor(b2)))
 
 
 class TestEdgeMlp:
@@ -395,9 +397,8 @@ class TestEdgeMlp:
     def test_matches_unfused_composition_bitwise(self, n, k, rate, activation):
         h, e, neighbors, w1, b1, w2, b2 = self.inputs(n, k)
         ref = unfused_edge_mlp(h, e, neighbors, w1, b1, w2, b2, RandomStream(7, "drop"), rate).data
-        keep = RandomStream(7, "drop").keep_mask((n, k, w1.shape[1]), rate) if rate else None
-        args = (neighbors, Tensor(w1), Tensor(b1), Tensor(w2), Tensor(b2), keep,
-                1.0 / (1.0 - rate))
+        args = (neighbors, Tensor(w1), Tensor(b1), Tensor(w2), Tensor(b2),
+                RandomStream(7, "drop") if rate else None, rate)
         with ad.no_grad():
             untaped = ad.edge_mlp(Tensor(h), Tensor(e), *args)
         taped = ad.edge_mlp(Tensor(h, requires_grad=True), Tensor(e), *args)
@@ -410,13 +411,14 @@ class TestEdgeMlp:
         data = self.inputs(n, k, d_h=d_h)
         h, e, neighbors = Tensor(data[0], requires_grad=True), Tensor(data[1], requires_grad=True), data[2]
         w1, b1, w2, b2 = (Tensor(x, requires_grad=True) for x in data[3:])
-        keep = RandomStream(1, "mask").keep_mask((n, k, d_h), 0.2)
-        out = ad.edge_mlp(h, e, neighbors, w1, b1, w2, b2, keep, 1.0 / 0.8)
+        out = ad.edge_mlp(h, e, neighbors, w1, b1, w2, b2, RandomStream(1, "mask"), 0.2)
         node_terms = 2 * n * d_h * 8  # h w_self and h w_nbr
-        held = (keep.nbytes + node_terms + neighbors.nbytes
+        packed_mask = n * k * 2  # 12 hidden entries per edge packed into 2 bytes
+        held = (packed_mask + node_terms + neighbors.nbytes
                 + sum(t.data.nbytes for t in (h, e, w1, b1, w2)))
         # the op, its six leaves and the sum; no (n, k, d_h) float array
-        # (3456 B here): backward recomputes the pre-activation per block
+        # (3456 B here) nor bool mask (432 B): backward unpacks the mask
+        # and recomputes the pre-activation per block
         assert ad.tape_stats(ad.tsum(out)) == (8, held)
 
     @pytest.mark.parametrize("rate", [0.0, 0.3])
@@ -424,7 +426,6 @@ class TestEdgeMlp:
         n, k = 7, 4
         h, e, neighbors, *weights = self.inputs(n, k)
         neighbors[0, 0] = neighbors[5, 1] = 3  # one sender, receivers in different blocks
-        keep = RandomStream(2, "mask").keep_mask((n, k, 16), rate) if rate else None
         g = np.random.default_rng(1).standard_normal(e.shape)
 
         def gradients(edge_rows, workers):
@@ -432,7 +433,8 @@ class TestEdgeMlp:
             monkeypatch.setattr(ad, "block_workers", lambda: workers)
             leaves = [Tensor(x, requires_grad=True) for x in (h, e, *weights)]
             x, y, w1, b1, w2, b2 = leaves
-            out = ad.edge_mlp(x, y, neighbors, w1, b1, w2, b2, keep, 1.0 / (1.0 - rate))
+            drop = RandomStream(2, "mask") if rate else None
+            out = ad.edge_mlp(x, y, neighbors, w1, b1, w2, b2, drop, rate)
             ad.backward(ad.tsum(ad.mul(out, g)))
             return [t.grad for t in leaves] + [out.data]
 

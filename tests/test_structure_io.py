@@ -248,11 +248,10 @@ class TestContainer:
         assert backbones_equal(once, twice)
 
     def test_file_round_trip(self, tmp_path, ala_gly_pdb):
-        from invfold.structure_io import read_backbone, write_backbone
         b = parse_pdb(ala_gly_pdb, "A")
         path = tmp_path / "bb.ifb"
-        write_backbone(b, path)
-        assert backbones_equal(read_backbone(path), b)
+        path.write_bytes(serialize_backbone(b))
+        assert backbones_equal(deserialize_backbone(path.read_bytes()), b)
 
     @pytest.mark.parametrize("field,value", [
         ("aa", "AG"), ("aa", 5), ("imputed", ["CA"]), ("imputed", ["Q"]), ("imputed", 3),

@@ -249,6 +249,80 @@ def test_training_tape_holds_no_edge_pre_activation():
     assert held < 12_500_000
 
 
+def tape_arrays(root):
+    """Every array the VJP closures behind root reach, with each array's
+    chain of bases, walked as `ad.tape_stats` walks them."""
+    order = ad._topo_order(ad._start(root))
+    stack = [vjp for item in order if not isinstance(item, Tensor) for _, vjp in item.parents]
+    seen, found = set(), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj, np.ndarray):
+                found.append(obj)
+                obj = obj.base
+        elif isinstance(obj, Tensor):
+            stack.append(obj.data)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+    return found
+
+
+def test_training_tape_keeps_no_rebuildable_edge_scratch():
+    """A default-config training forward (T = 3) at toy size keeps no
+    attention pool (n, heads, 2d + d_e), no pulled-back queries (heads, n,
+    d_e) and no unpacked (n, k, d_h) edge-MLP dropout mask: backward
+    rebuilds the first two and unpacks the mask's bits."""
+    from invfold.recycling import InverseFoldModel, StubSequenceProvider, StubStructureProvider
+    fc = FeatureConfig()
+    graph = build_knn_graph(random_backbone(7, 33), fc)
+    cfg = ModelConfig(node_dim=fc.node_dim, edge_dim=fc.edge_dim)
+    providers = (StubStructureProvider(dim=cfg.struct_dim, seed=1),
+                 StubSequenceProvider(dim=cfg.seq_dim, seed=1))
+    probs, _, _ = InverseFoldModel(cfg, seed=3).run_stages(graph, *providers, cfg.recycles,
+                                                           training=True,
+                                                           stream=RandomStream(0, "tape"))
+    arrays = tape_arrays(staged_loss_tensor(probs, graph.labels))
+    n, k = graph.neighbors.shape
+    d = d_e = d_h = cfg.hidden_dim
+    assert cfg.dropout > 0 and any(a.dtype == np.uint8 for a in arrays)  # the packed masks
+    assert not [a for a in arrays if a.shape in ((n, cfg.heads, 2 * d + d_e), (cfg.heads, n, d_e))]
+    assert not [a for a in arrays if a.dtype == bool and a.size == n * k * d_h]
+
+
+def test_train_toy_does_not_depend_on_block_workers_or_size(monkeypatch):
+    """Two steps of train_toy (default model, dropout on) end with the same
+    bits on 1 and 3 block workers, with blocks of 64 edges and of the
+    default EDGE_ROWS. Across block sizes the dropout masks are the same,
+    so the parameters agree to rounding (the edge MLP's weight gradients
+    are sums over blocks); a mask drawn at a wrong offset moves them by
+    about the learning rate, 1e-6 here."""
+    corpus = toy_corpus(0, lengths=(30, 33))
+
+    def run(rows, workers):
+        monkeypatch.setattr(ad, "EDGE_ROWS", rows)
+        monkeypatch.setattr(ad, "block_workers", lambda: workers)
+        result = train_toy(corpus, TrainConfig(max_steps=2))
+        params = result.model.parameters()
+        return [params[name].data for name in sorted(params)], result.log_rows
+
+    runs = {}
+    for rows in (64, ad.EDGE_ROWS):
+        runs[rows] = sequential = run(rows, 1)
+        parallel = run(rows, 3)
+        assert all(np.array_equal(a, b) for a, b in zip(sequential[0], parallel[0]))
+        assert sequential[1] == parallel[1]
+    (small, small_log), (default, default_log) = runs.values()
+    assert all(np.max(np.abs(a - b)) < 1e-12 for a, b in zip(small, default))
+    for row, ref in zip(small_log, default_log):
+        assert row == pytest.approx(ref, rel=1e-9)
+
+
 class TestTrainToy:
     @pytest.fixture
     def tiny_cfg(self):
